@@ -224,6 +224,12 @@ impl Hub {
         self.inflight.contains_key(&line)
     }
 
+    /// The request kind and requester of the transaction in flight on
+    /// `line`, if any.
+    pub fn open_request(&self, line: LineAddr) -> Option<(ReqKind, Agent)> {
+        self.inflight.get(&line).map(|t| (t.kind, t.requester))
+    }
+
     /// Number of transactions currently in flight.
     pub fn inflight_count(&self) -> usize {
         self.inflight.len()
@@ -575,6 +581,7 @@ mod tests {
         let second = hub.on_request(ReqKind::GetX, l, Agent::GpuL2(1));
         assert!(second.is_empty());
         assert_eq!(hub.stats().conflicts.value(), 1);
+        assert_eq!(hub.open_request(l), Some((ReqKind::GetS, Agent::CpuL2)));
 
         reply_all_misses(&mut hub, l, Agent::CpuL2);
         hub.on_mem_done(l, 0);
@@ -586,6 +593,8 @@ mod tests {
             .collect();
         assert_eq!(probes.len(), 4);
         assert!(hub.busy(l));
+        assert_eq!(hub.open_request(l), Some((ReqKind::GetX, Agent::GpuL2(1))));
+        assert_eq!(hub.open_request(line(6)), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 
 use ds_cpu::Program;
 use ds_gpu::KernelTrace;
-use ds_probe::LineLens;
+use ds_probe::{NullTracer, Probes, PulseConfig, Tracer};
 use ds_xlat::{AllocationPlan, TranslateError, Translator};
 
 use crate::{FaultPlan, Mode, RunReport, System, SystemConfig};
@@ -226,193 +226,55 @@ impl Pipeline {
         &self.cfg
     }
 
-    /// Runs `scenario` once under `mode`.
+    /// Runs `scenario` once under `mode`: translates its source (in
+    /// direct-store modes), builds its programs, and simulates them
+    /// with `faults` injected (pass `&FaultPlan::default()` for a
+    /// fault-free run; the protocol watchdog is armed only by an active
+    /// plan), pulse sampling when `pulse` is `Some` (the report then
+    /// carries the full [`ds_probe::PulseSeries`] and the epoch view
+    /// derived from it), and every trace event reported to `tracer`
+    /// (pass [`ds_probe::NullTracer`] to compile the forwarding away).
+    ///
+    /// Returns the result together with the observation fan-out: the
+    /// caller's tracer — a [`ds_probe::FlightRecorder`]'s retained tail
+    /// survives even a watchdog abort — and the folds, including the
+    /// per-cacheline [`ds_probe::LineLens`] with every line's full
+    /// history (the report carries only its aggregate
+    /// [`ds_probe::LensReport`]).
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Translate`] if the scenario's source
-    /// fails translation (direct-store modes only).
-    pub fn run_one(
-        &self,
-        scenario: &dyn Scenario,
-        input: InputSize,
-        mode: Mode,
-    ) -> Result<RunReport, PipelineError> {
-        self.run_one_instrumented(scenario, input, mode, ds_probe::NullTracer, None)
-            .map(|(report, _)| report)
-    }
-
-    /// Runs `scenario` once under `mode` with instrumentation: trace
-    /// events go to `tracer` (pass [`ds_probe::NullTracer`] to compile
-    /// them away) and, when `epoch_window` is `Some(n)`, the report
-    /// carries one activity sample per `n` cycles. Returns the report
-    /// together with the tracer and everything it collected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Translate`] if the scenario's source
-    /// fails translation (direct-store modes only).
-    pub fn run_one_instrumented<T: ds_probe::Tracer>(
+    /// fails translation (direct-store modes only) and
+    /// [`PipelineError::Aborted`] when the watchdog detects deadlock or
+    /// livelock (the message carries the diagnostic dump).
+    pub fn run<T: Tracer>(
         &self,
         scenario: &dyn Scenario,
         input: InputSize,
         mode: Mode,
         tracer: T,
-        epoch_window: Option<u64>,
-    ) -> Result<(RunReport, T), PipelineError> {
-        let plan = if mode.pushes() {
-            let translation = Translator::new().translate(&scenario.source(input))?;
-            Some(translation.plan)
-        } else {
-            None
-        };
-        let build = scenario.build(plan.as_ref(), input);
+        faults: &FaultPlan,
+        pulse: Option<PulseConfig>,
+    ) -> (Result<RunReport, PipelineError>, Probes<T>) {
         let mut system = System::with_tracer(self.cfg.clone(), mode, tracer);
-        if let Some(window) = epoch_window {
-            system.enable_epochs(window);
-        }
-        let report = system.run(build.program, build.kernels);
-        Ok((report, system.into_tracer()))
-    }
-
-    /// Runs `scenario` once under `mode` with `plan`'s faults injected
-    /// and the protocol watchdog armed (ds-chaos). With an inactive
-    /// plan this is equivalent to [`Pipeline::run_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Translate`] on translation failure and
-    /// [`PipelineError::Aborted`] when the watchdog detects deadlock
-    /// or livelock (the message carries the diagnostic dump).
-    pub fn run_one_faulted(
-        &self,
-        scenario: &dyn Scenario,
-        input: InputSize,
-        mode: Mode,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, PipelineError> {
-        let alloc = if mode.pushes() {
-            let translation = Translator::new().translate(&scenario.source(input))?;
-            Some(translation.plan)
-        } else {
-            None
-        };
-        let build = scenario.build(alloc.as_ref(), input);
-        let mut system = System::with_tracer(self.cfg.clone(), mode, ds_probe::NullTracer);
-        system.set_fault_plan(plan.clone());
-        system
-            .try_run(build.program, build.kernels)
-            .map_err(|abort| PipelineError::Aborted(abort.to_string()))
-    }
-
-    /// Like [`Pipeline::run_one_faulted`], but with trace events going
-    /// to `tracer` — the flight-recorder hook: pass a shared-ring
-    /// tracer (e.g. [`ds_probe::FlightRecorder`]) and its retained
-    /// tail survives even a watchdog abort, because the tracer is
-    /// returned alongside the result instead of being dropped with the
-    /// aborted system.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::run_one_faulted`]; the error travels in the
-    /// returned pair so the tracer is never lost.
-    pub fn run_one_faulted_traced<T: ds_probe::Tracer>(
-        &self,
-        scenario: &dyn Scenario,
-        input: InputSize,
-        mode: Mode,
-        plan: &FaultPlan,
-        tracer: T,
-    ) -> (Result<RunReport, PipelineError>, T) {
-        let alloc = if mode.pushes() {
+        let plan = if mode.pushes() {
             match Translator::new().translate(&scenario.source(input)) {
                 Ok(translation) => Some(translation.plan),
-                Err(e) => return (Err(e.into()), tracer),
+                Err(e) => return (Err(e.into()), system.into_probes()),
             }
         } else {
             None
         };
-        let build = scenario.build(alloc.as_ref(), input);
-        let mut system = System::with_tracer(self.cfg.clone(), mode, tracer);
-        system.set_fault_plan(plan.clone());
-        let result = system
-            .try_run(build.program, build.kernels)
-            .map_err(|abort| PipelineError::Aborted(abort.to_string()));
-        (result, system.into_tracer())
-    }
-
-    /// Runs `scenario` once under `mode` with pulse sampling
-    /// configured by `pulse` (see [`ds_probe::PulseSampler`]; the
-    /// report carries the full [`ds_probe::PulseSeries`]), `plan`'s
-    /// faults injected (pass `&FaultPlan::default()` for a fault-free
-    /// run) and trace events going to `tracer`. Shaped like
-    /// [`Pipeline::run_one_faulted_traced`]: the tracer rides the
-    /// return pair, so a flight recorder's retained tail — including
-    /// any pulse-anomaly precursor events — survives a watchdog abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Translate`] on translation failure and
-    /// [`PipelineError::Aborted`] on a watchdog abort, both inside the
-    /// returned pair.
-    pub fn run_one_pulsed<T: ds_probe::Tracer>(
-        &self,
-        scenario: &dyn Scenario,
-        input: InputSize,
-        mode: Mode,
-        tracer: T,
-        pulse: ds_probe::PulseConfig,
-        plan: &FaultPlan,
-    ) -> (Result<RunReport, PipelineError>, T) {
-        let alloc = if mode.pushes() {
-            match Translator::new().translate(&scenario.source(input)) {
-                Ok(translation) => Some(translation.plan),
-                Err(e) => return (Err(e.into()), tracer),
-            }
-        } else {
-            None
-        };
-        let build = scenario.build(alloc.as_ref(), input);
-        let mut system = System::with_tracer(self.cfg.clone(), mode, tracer);
-        system.enable_pulse(pulse);
-        system.set_fault_plan(plan.clone());
-        let result = system
-            .try_run(build.program, build.kernels)
-            .map_err(|abort| PipelineError::Aborted(abort.to_string()));
-        (result, system.into_tracer())
-    }
-
-    /// Like [`Pipeline::run_one_instrumented`], but also hands back
-    /// the per-cacheline [`LineLens`] with full event histories (the
-    /// report only carries its aggregate [`ds_probe::LensReport`]) —
-    /// the `dslens` CLI's forensics views are built from this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Translate`] if the scenario's source
-    /// fails translation (direct-store modes only).
-    pub fn run_one_lensed<T: ds_probe::Tracer>(
-        &self,
-        scenario: &dyn Scenario,
-        input: InputSize,
-        mode: Mode,
-        tracer: T,
-        epoch_window: Option<u64>,
-    ) -> Result<(RunReport, T, LineLens), PipelineError> {
-        let plan = if mode.pushes() {
-            let translation = Translator::new().translate(&scenario.source(input))?;
-            Some(translation.plan)
-        } else {
-            None
-        };
         let build = scenario.build(plan.as_ref(), input);
-        let mut system = System::with_tracer(self.cfg.clone(), mode, tracer);
-        if let Some(window) = epoch_window {
-            system.enable_epochs(window);
+        if let Some(pulse) = pulse {
+            system.enable_pulse(pulse);
         }
-        let report = system.run(build.program, build.kernels);
-        let (tracer, lens) = system.into_instruments();
-        Ok((report, tracer, lens))
+        system.set_fault_plan(faults.clone());
+        let result = system
+            .try_run(build.program, build.kernels)
+            .map_err(|abort| PipelineError::Aborted(abort.to_string()));
+        (result, system.into_probes())
     }
 
     /// Runs `scenario` under CCSM and under direct store, returning
@@ -426,8 +288,13 @@ impl Pipeline {
         scenario: &dyn Scenario,
         input: InputSize,
     ) -> Result<Comparison, PipelineError> {
-        let ccsm = self.run_one(scenario, input, Mode::Ccsm)?;
-        let direct_store = self.run_one(scenario, input, self.ds_mode)?;
+        let fault_free = FaultPlan::default();
+        let ccsm = self
+            .run(scenario, input, Mode::Ccsm, NullTracer, &fault_free, None)
+            .0?;
+        let direct_store = self
+            .run(scenario, input, self.ds_mode, NullTracer, &fault_free, None)
+            .0?;
         Ok(Comparison {
             code: scenario.code().to_string(),
             input,
@@ -533,18 +400,29 @@ mod tests {
     fn pulse_windows_conserve_and_never_change_timing() {
         use ds_probe::pulse::ctr;
         let pipe = Pipeline::paper_default();
+        let fault_free = FaultPlan::default();
         let plain = pipe
-            .run_one(&Mini, InputSize::Small, Mode::DirectStore)
+            .run(
+                &Mini,
+                InputSize::Small,
+                Mode::DirectStore,
+                NullTracer,
+                &fault_free,
+                None,
+            )
+            .0
             .unwrap();
-        let (pulsed, _) = pipe.run_one_pulsed(
-            &Mini,
-            InputSize::Small,
-            Mode::DirectStore,
-            ds_probe::NullTracer,
-            ds_probe::PulseConfig::default(),
-            &FaultPlan::default(),
-        );
-        let pulsed = pulsed.unwrap();
+        let pulsed = pipe
+            .run(
+                &Mini,
+                InputSize::Small,
+                Mode::DirectStore,
+                NullTracer,
+                &fault_free,
+                Some(PulseConfig::default()),
+            )
+            .0
+            .unwrap();
         assert_eq!(
             plain.total_cycles, pulsed.total_cycles,
             "pulse fed back into timing"

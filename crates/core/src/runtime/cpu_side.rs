@@ -35,13 +35,7 @@ impl<T: Tracer> System<T> {
         let info = self
             .coh_net
             .send_info(self.now, PortId(sp), PortId(dp), class);
-        self.lens.net_msg(
-            NetId::Coherence,
-            sp as u8,
-            dp as u8,
-            class == MsgClass::Data,
-        );
-        self.trace(
+        self.emit(
             Component::Net {
                 net: NetId::Coherence,
             },
@@ -65,7 +59,7 @@ impl<T: Tracer> System<T> {
         }
     }
 
-    /// Sends a direct-network message over ports `src → dst`, tracing
+    /// Sends a direct-network message over ports `src → dst`, reporting
     /// the link occupancy, and returns the arrival time.
     fn direct_send(&mut self, src: usize, dst: usize, msg: &DirectMsg) -> ds_sim::Cycle {
         let _prof = prof::span(HostPhase::NocTick);
@@ -77,9 +71,7 @@ impl<T: Tracer> System<T> {
         let info = self
             .direct_net
             .send_info(self.now, PortId(src), PortId(dst), class);
-        self.lens
-            .net_msg(NetId::Direct, src as u8, dst as u8, class == MsgClass::Data);
-        self.trace(
+        self.emit(
             Component::Net { net: NetId::Direct },
             Some(msg.line().index()),
             TraceKind::NetMsg {
@@ -143,7 +135,7 @@ impl<T: Tracer> System<T> {
         let pa = self.space.translate(va);
         let line = LineAddr::containing(pa);
         if missed {
-            self.trace(Component::CpuTlb, Some(line.index()), TraceKind::TlbMiss);
+            self.emit(Component::CpuTlb, Some(line.index()), TraceKind::TlbMiss);
         }
         (line, look.is_direct, cost)
     }
@@ -192,7 +184,11 @@ impl<T: Tracer> System<T> {
         let push = is_direct && self.mode.pushes();
         let before = self.sb.len();
         if self.sb.push(line, push) {
-            self.lens.cpu_store(line.index(), push, self.now.as_u64());
+            self.emit(
+                Component::Cpu,
+                Some(line.index()),
+                TraceKind::CpuStore { push },
+            );
             if self.sb.len() > before {
                 // A genuinely new entry (not a same-line coalesce):
                 // mirror it in the txn FIFO. Only direct pushes are
@@ -200,7 +196,14 @@ impl<T: Tracer> System<T> {
                 // transaction (one drain serves them all).
                 let txn = if push {
                     let txn = self.next_txn();
-                    self.stage_begin(txn, Stage::SbWait, self.now);
+                    self.emit(
+                        Component::Txn,
+                        None,
+                        TraceKind::TxnBegin {
+                            txn,
+                            stage: Stage::SbWait,
+                        },
+                    );
                     Some(txn)
                 } else {
                     None
@@ -238,22 +241,27 @@ impl<T: Tracer> System<T> {
         }
         if self.cpu_l1d.access(line).is_some() {
             self.cpu_l1_stats.record_hit();
-            self.trace(
+            self.emit(
                 Component::CpuL1,
                 Some(line.index()),
-                TraceKind::Hit { push_hit: false },
+                TraceKind::Hit {
+                    write: false,
+                    push_hit: false,
+                    gpu: false,
+                },
             );
             self.queue
                 .push(self.now + cost + self.cfg.cpu_l1_latency, Ev::CpuAdvance);
             return;
         }
         self.cpu_l1_stats.record_miss(MissKind::NonCompulsory);
-        self.trace(
+        self.emit(
             Component::CpuL1,
             Some(line.index()),
             TraceKind::Miss {
                 write: false,
                 compulsory: false,
+                gpu: false,
             },
         );
         self.cpu.block = CpuBlock::Load;
@@ -287,7 +295,7 @@ impl<T: Tracer> System<T> {
             };
             let txn = self.sb_txns.pop_front().flatten();
             self.inflight_stores.push((entry, self.now));
-            self.trace(
+            self.emit(
                 Component::StoreBuffer,
                 Some(entry.line.index()),
                 TraceKind::SbDrain {
@@ -305,7 +313,7 @@ impl<T: Tracer> System<T> {
                 // invalidate-only control message to the home slice.
                 // The stage transaction rides the PUTX (the message
                 // whose acknowledgement completes the push).
-                self.stage_advance(txn, Stage::DirectNoc, self.now);
+                self.emit_stage(txn, Stage::DirectNoc, self.now);
                 self.pushes_attempted += 1;
                 if self.faults.retries_enabled() {
                     let txn = txn.expect("direct entries are always tracked");
@@ -360,10 +368,14 @@ impl<T: Tracer> System<T> {
         if !write {
             if self.cpu_l2.array.access(line).is_some_and(|s| s.can_read()) {
                 self.cpu_l2.record_hit(line);
-                self.trace(
+                self.emit(
                     Component::CpuL2,
                     Some(line.index()),
-                    TraceKind::Hit { push_hit: false },
+                    TraceKind::Hit {
+                        write: false,
+                        push_hit: false,
+                        gpu: false,
+                    },
                 );
                 self.fill_cpu_l1(line);
                 self.resume_cpu_load();
@@ -374,10 +386,14 @@ impl<T: Tracer> System<T> {
             match self.cpu_l2.array.access(line).copied() {
                 Some(HammerState::MM) => {
                     self.cpu_l2.record_hit(line);
-                    self.trace(
+                    self.emit(
                         Component::CpuL2,
                         Some(line.index()),
-                        TraceKind::Hit { push_hit: false },
+                        TraceKind::Hit {
+                            write: true,
+                            push_hit: false,
+                            gpu: false,
+                        },
                     );
                     self.complete_drain(line);
                 }
@@ -389,10 +405,14 @@ impl<T: Tracer> System<T> {
                         .state_mut(line)
                         .expect("state checked above") = HammerState::MM;
                     self.cpu_l2.record_hit(line);
-                    self.trace(
+                    self.emit(
                         Component::CpuL2,
                         Some(line.index()),
-                        TraceKind::Hit { push_hit: false },
+                        TraceKind::Hit {
+                            write: true,
+                            push_hit: false,
+                            gpu: false,
+                        },
                     );
                     self.complete_drain(line);
                 }
@@ -411,12 +431,13 @@ impl<T: Tracer> System<T> {
         match self.cpu_l2.alloc_miss(line, kind, waiter) {
             MshrOutcome::Primary => {
                 let miss_kind = self.cpu_l2.record_miss(line);
-                self.trace(
+                self.emit(
                     Component::CpuL2,
                     Some(line.index()),
                     TraceKind::Miss {
                         write: kind == ReqKind::GetX,
                         compulsory: miss_kind == MissKind::Compulsory,
+                        gpu: false,
                     },
                 );
                 if self.mode.coherent() {
@@ -442,12 +463,13 @@ impl<T: Tracer> System<T> {
             }
             MshrOutcome::Secondary => {
                 let miss_kind = self.cpu_l2.record_miss(line);
-                self.trace(
+                self.emit(
                     Component::CpuL2,
                     Some(line.index()),
                     TraceKind::Miss {
                         write: kind == ReqKind::GetX,
                         compulsory: miss_kind == MissKind::Compulsory,
+                        gpu: false,
                     },
                 );
             }
@@ -563,14 +585,12 @@ impl<T: Tracer> System<T> {
                     return;
                 }
                 self.direct_pushes += 1;
-                self.stage_finish(txn, self.now);
+                if let Some(txn) = txn {
+                    self.emit(Component::Txn, None, TraceKind::TxnDone { txn });
+                }
                 let started = self.complete_drain(line);
                 let latency = self.now.saturating_since(started);
-                {
-                    let _tax = prof::span(HostPhase::TaxHistograms);
-                    self.probes.push_e2e.record(latency);
-                }
-                self.trace(
+                self.emit(
                     Component::StoreBuffer,
                     Some(line.index()),
                     TraceKind::PushDone { latency },
@@ -604,9 +624,13 @@ impl<T: Tracer> System<T> {
         if attempt >= self.faults.max_retries {
             self.inflight_pushes.remove(&txn);
             self.pushes_degraded += 1;
-            self.lens.push_degraded();
+            self.emit(
+                Component::StoreBuffer,
+                Some(line.index()),
+                TraceKind::PushDegraded,
+            );
             self.dram_access(self.now, line, true);
-            self.stage_finish(Some(txn), self.now);
+            self.emit(Component::Txn, None, TraceKind::TxnDone { txn });
             self.complete_drain(line);
             return;
         }
@@ -625,7 +649,7 @@ impl<T: Tracer> System<T> {
             t.attempt = next;
         }
         self.pushes_retried += 1;
-        self.stage_advance(Some(txn), Stage::DirectNoc, self.now);
+        self.emit_stage(Some(txn), Stage::DirectNoc, self.now);
         let slice = ds_coherence::msg::slice_index(line);
         self.direct_send_to_slice(slice, DirectMsg::GetX { line }, None);
         self.direct_send_to_slice(slice, DirectMsg::PutX { line }, Some(txn));

@@ -31,7 +31,7 @@ impl<T: Tracer> System<T> {
         PortId(self.cfg.sms + slice as usize)
     }
 
-    /// Sends one message over the GPU-internal crossbar, tracing the
+    /// Sends one message over the GPU-internal crossbar, reporting the
     /// link occupancy, and returns the arrival time.
     fn gpu_net_send(
         &mut self,
@@ -43,13 +43,7 @@ impl<T: Tracer> System<T> {
     ) -> Cycle {
         let _prof = prof::span(HostPhase::NocTick);
         let info = self.gpu_net.send_info(at, src, dst, class);
-        self.lens.net_msg(
-            NetId::GpuInternal,
-            src.0 as u8,
-            dst.0 as u8,
-            class == MsgClass::Data,
-        );
-        self.trace(
+        self.emit(
             Component::Net {
                 net: NetId::GpuInternal,
             },
@@ -76,7 +70,7 @@ impl<T: Tracer> System<T> {
         if self.first_kernel_start.is_none() {
             self.first_kernel_start = Some(self.now);
         }
-        self.trace(
+        self.emit(
             Component::Kernel,
             None,
             TraceKind::KernelBegin { kernel: k as u32 },
@@ -111,7 +105,7 @@ impl<T: Tracer> System<T> {
 
     fn finish_kernel(&mut self) {
         let k = self.running_kernel.take().expect("kernel running");
-        self.trace(
+        self.emit(
             Component::Kernel,
             None,
             TraceKind::KernelEnd { kernel: k as u32 },
@@ -210,7 +204,7 @@ impl<T: Tracer> System<T> {
         let pa = self.space.translate(va);
         let line = LineAddr::containing(pa);
         if missed {
-            self.trace(
+            self.emit(
                 Component::GpuTlb { sm: sm as u16 },
                 Some(line.index()),
                 TraceKind::TlbMiss,
@@ -222,12 +216,23 @@ impl<T: Tracer> System<T> {
     fn gpu_load(&mut self, sm: usize, warp: usize, line: LineAddr, walk: u64) {
         let issued = self.now;
         let txn = self.next_txn();
-        self.stage_begin(txn, Stage::SmL1, issued);
+        self.emit(
+            Component::Txn,
+            None,
+            TraceKind::TxnBegin {
+                txn,
+                stage: Stage::SmL1,
+            },
+        );
         if self.gpu_l1s[sm].load(line) {
-            self.trace(
+            self.emit(
                 Component::GpuL1 { sm: sm as u16 },
                 Some(line.index()),
-                TraceKind::Hit { push_hit: false },
+                TraceKind::Hit {
+                    write: false,
+                    push_hit: false,
+                    gpu: true,
+                },
             );
             self.sched(
                 self.now + walk + self.cfg.gpu_l1_latency,
@@ -240,12 +245,13 @@ impl<T: Tracer> System<T> {
             );
             return;
         }
-        self.trace(
+        self.emit(
             Component::GpuL1 { sm: sm as u16 },
             Some(line.index()),
             TraceKind::Miss {
                 write: false,
                 compulsory: false,
+                gpu: true,
             },
         );
         let slice = slice_index(line);
@@ -257,8 +263,8 @@ impl<T: Tracer> System<T> {
             MsgClass::Control,
             line,
         );
-        self.stage_advance(Some(txn), Stage::GpuNocReq, depart);
-        self.stage_advance(Some(txn), Stage::SliceQueue, arrival);
+        self.emit_stage(Some(txn), Stage::GpuNocReq, depart);
+        self.emit_stage(Some(txn), Stage::SliceQueue, arrival);
         let ev = Ev::SliceDemand {
             slice,
             line,
@@ -312,12 +318,8 @@ impl<T: Tracer> System<T> {
     /// A memory response reaches a warp (`Ev::MemArrive`).
     pub(super) fn on_mem_arrive(&mut self, sm: usize, warp: usize, issued: Cycle, txn: u64) {
         let latency = self.now.saturating_since(issued);
-        {
-            let _tax = prof::span(HostPhase::TaxHistograms);
-            self.probes.load_to_use.record(latency);
-        }
-        self.stage_finish(Some(txn), self.now);
-        self.trace(
+        self.emit(Component::Txn, None, TraceKind::TxnDone { txn });
+        self.emit(
             Component::Sm { sm: sm as u16 },
             None,
             TraceKind::LoadDone {
@@ -412,29 +414,24 @@ impl<T: Tracer> System<T> {
         }
     }
 
-    /// Notes a demand hit at a slice: updates the line lens
-    /// (push-provenance resolved here so every emission site stays one
-    /// line) and traces the event. `gpu` distinguishes GPU demand
-    /// accesses from uncached CPU read-backs — only the former count
-    /// as consumption of a pushed line.
+    /// Reports a demand hit at a slice, resolving push provenance here
+    /// so every call site stays one line. `gpu` distinguishes GPU
+    /// demand accesses from uncached CPU read-backs — only the former
+    /// count as consumption of a pushed line.
     pub(super) fn note_slice_hit(&mut self, slice: u8, line: LineAddr, write: bool, gpu: bool) {
         let push_hit = self.gpu_l2[slice as usize].pushed.contains(&line);
-        self.lens.slice_hit(
-            slice as usize,
-            line.index(),
-            write,
-            push_hit,
-            gpu,
-            self.now.as_u64(),
-        );
-        self.trace(
+        self.emit(
             Component::GpuL2 { slice },
             Some(line.index()),
-            TraceKind::Hit { push_hit },
+            TraceKind::Hit {
+                write,
+                push_hit,
+                gpu,
+            },
         );
     }
 
-    /// Notes a demand miss at a slice (lens + trace; see
+    /// Reports a demand miss at a slice (see
     /// [`System::note_slice_hit`] for `gpu`).
     pub(super) fn note_slice_miss(
         &mut self,
@@ -444,14 +441,13 @@ impl<T: Tracer> System<T> {
         miss_kind: MissKind,
         gpu: bool,
     ) {
-        self.lens
-            .slice_miss(slice as usize, line.index(), write, gpu, self.now.as_u64());
-        self.trace(
+        self.emit(
             Component::GpuL2 { slice },
             Some(line.index()),
             TraceKind::Miss {
                 write,
                 compulsory: miss_kind == MissKind::Compulsory,
+                gpu,
             },
         );
     }
@@ -473,9 +469,16 @@ impl<T: Tracer> System<T> {
                 if self.mode.coherent() {
                     let requester = Agent::GpuL2(slice);
                     if let Some(txn) = waiter_txn(waiter) {
-                        self.stage_advance(Some(txn), Stage::CohReq, self.now);
-                        self.coh_req_obs
-                            .insert((requester.port_index() as u8, line), txn);
+                        // Names the requester and line: the hub's
+                        // request event claims the transaction by them.
+                        self.emit(
+                            Component::GpuL2 { slice },
+                            Some(line.index()),
+                            TraceKind::StageMark {
+                                txn,
+                                stage: Stage::CohReq,
+                            },
+                        );
                     }
                     let msg = match kind {
                         ReqKind::GetS => CohMsg::GetS { line, requester },
@@ -489,8 +492,8 @@ impl<T: Tracer> System<T> {
                 } else {
                     let info = self.dram_access_info(self.now, line, false);
                     let txn = waiter_txn(waiter);
-                    self.stage_advance(txn, Stage::DramQueue, self.now);
-                    self.stage_advance(txn, Stage::DramService, info.start);
+                    self.emit_stage(txn, Stage::DramQueue, self.now);
+                    self.emit_stage(txn, Stage::DramService, info.start);
                     self.sched(info.done, Ev::SliceMemDone { slice, line });
                 }
             }
@@ -499,11 +502,11 @@ impl<T: Tracer> System<T> {
                     let miss_kind = self.gpu_l2[s].record_miss(line);
                     self.note_slice_miss(slice, line, kind == ReqKind::GetX, miss_kind, true);
                 }
-                self.stage_advance(waiter_txn(waiter), Stage::MshrWait, self.now);
+                self.emit_stage(waiter_txn(waiter), Stage::MshrWait, self.now);
             }
             MshrOutcome::Full => {
                 // Stall until an MSHR frees (drained on completions).
-                self.stage_advance(waiter_txn(waiter), Stage::MshrStall, self.now);
+                self.emit_stage(waiter_txn(waiter), Stage::MshrStall, self.now);
                 self.gpu_l2_stalled[s].push_back((line, kind == ReqKind::GetX, waiter));
             }
         }
@@ -559,7 +562,7 @@ impl<T: Tracer> System<T> {
                 // path (slice hit, primary fill, merged secondary)
                 // funnels through here, accruing whatever stage the
                 // transaction was in until now.
-                self.stage_advance(Some(txn), Stage::SliceToSm, self.now);
+                self.emit_stage(Some(txn), Stage::SliceToSm, self.now);
                 let arrival = self.gpu_net_send(
                     self.now,
                     self.gpu_port_slice(slice),
@@ -591,15 +594,23 @@ impl<T: Tracer> System<T> {
     }
 
     /// Installs a line into a slice, handling the victim writeback.
-    /// `push` distinguishes direct-store pushes (lens-recorded at the
-    /// PutX site, where the push is classified) from demand fills.
+    /// `push` distinguishes direct-store pushes (reported at the PutX
+    /// site, where the push is classified) from demand fills.
     pub(super) fn fill_slice(&mut self, slice: u8, line: LineAddr, state: HammerState, push: bool) {
         let s = slice as usize;
         if !push {
-            self.lens.demand_fill(s, line.index(), self.now.as_u64());
+            self.emit(
+                Component::GpuL2 { slice },
+                Some(line.index()),
+                TraceKind::DemandFill,
+            );
         }
         if let Some((victim, dirty)) = self.gpu_l2[s].fill(line, state) {
-            self.lens.evict(s, victim.index(), dirty, self.now.as_u64());
+            self.emit(
+                Component::GpuL2 { slice },
+                Some(victim.index()),
+                TraceKind::Evict { writeback: dirty },
+            );
             if dirty {
                 if self.mode.coherent() {
                     self.coh_send(
@@ -672,11 +683,5 @@ impl<T: Tracer> System<T> {
         // Install clean-exclusive: the GPU is the line's home.
         self.fill_slice(slice, line, HammerState::M, false);
         self.direct_send_to_cpu(slice, ds_coherence::DirectMsg::ReadResp { line }, None);
-    }
-
-    /// Earliest pending wake time across SMs (used by tests).
-    #[allow(dead_code)]
-    pub(super) fn earliest_sm_wake(&self) -> Option<Cycle> {
-        self.sms.iter().filter_map(|s| s.earliest_wake()).min()
     }
 }

@@ -1,16 +1,13 @@
-//! Windowed (epoch) sampling of system activity.
-//!
-//! An [`EpochRecorder`] turns a handful of cumulative counters into a
-//! dense time series: one [`EpochSample`] per `window`-cycle epoch,
-//! each holding the *delta* of every counter over that window. Plotted
-//! over time this makes the produce → kernel → readback phase
-//! structure of a run directly visible — CPU L2 stores during produce,
-//! a burst of direct-network messages while pushes drain, GPU misses
-//! (or their absence, under direct store) once the kernel starts.
+//! The epoch view of a run: one [`EpochSample`] per fixed cycle
+//! window, each holding the *delta* of a handful of counters over that
+//! window. Plotted over time this makes the produce → kernel →
+//! readback phase structure of a run directly visible — CPU L2 stores
+//! during produce, a burst of direct-network messages while pushes
+//! drain, GPU misses (or their absence, under direct store) once the
+//! kernel starts. The series is derived from the pulse sampler's
+//! windows ([`crate::pulse::epoch_view`]); [`render_csv`] prints it.
 
-/// A snapshot of the cumulative counters the sampler watches. The
-/// simulator fills one of these per observation; the recorder turns
-/// consecutive snapshots into per-window deltas.
+/// The counters an epoch reports, as per-window deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochTotals {
     /// GPU L2 demand accesses (all slices).
@@ -33,22 +30,6 @@ pub struct EpochTotals {
     pub direct_pushes: u64,
 }
 
-impl EpochTotals {
-    fn delta(self, base: EpochTotals) -> EpochTotals {
-        EpochTotals {
-            gpu_l2_accesses: self.gpu_l2_accesses - base.gpu_l2_accesses,
-            gpu_l2_misses: self.gpu_l2_misses - base.gpu_l2_misses,
-            cpu_l2_accesses: self.cpu_l2_accesses - base.cpu_l2_accesses,
-            cpu_l2_misses: self.cpu_l2_misses - base.cpu_l2_misses,
-            coh_msgs: self.coh_msgs - base.coh_msgs,
-            direct_msgs: self.direct_msgs - base.direct_msgs,
-            gpu_msgs: self.gpu_msgs - base.gpu_msgs,
-            dram_accesses: self.dram_accesses - base.dram_accesses,
-            direct_pushes: self.direct_pushes - base.direct_pushes,
-        }
-    }
-}
-
 /// One closed epoch: window `index` covers cycles
 /// `[index * window, (index + 1) * window)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,108 +38,6 @@ pub struct EpochSample {
     pub index: u64,
     /// Counter deltas over this window.
     pub delta: EpochTotals,
-}
-
-/// Accumulates [`EpochSample`]s from a monotone stream of
-/// observations.
-///
-/// Deprecated: the runtime no longer drives this recorder. The pulse
-/// sampler ([`crate::PulseSampler`]) subsumes it — it tracks a
-/// superset of these counters into a memory-bounded coalescing ring,
-/// and the epoch series on a report is now the derived
-/// [`crate::pulse::epoch_view`] of the pulse windows. The type
-/// remains for code that samples its own counters at epoch
-/// granularity; new code should construct a `PulseSampler`.
-///
-/// `observe(cycle, totals)` is called once per simulated event with
-/// the *current* cumulative totals; whenever `cycle` crosses a window
-/// boundary the recorder closes the finished window(s). Because
-/// observations arrive in nondecreasing cycle order, all activity
-/// since the last boundary belongs to the window being closed;
-/// event-free windows in between close with all-zero deltas, keeping
-/// the series dense.
-///
-/// ```
-/// use ds_probe::{EpochRecorder, EpochTotals};
-///
-/// let mut rec = EpochRecorder::new(100);
-/// let mut t = EpochTotals::default();
-/// rec.observe(42, t); // event dispatched at cycle 42...
-/// t.dram_accesses = 3; // ...performs 3 DRAM accesses
-/// rec.observe(250, t); // next event: windows 0 and 1 close
-/// t.dram_accesses = 5;
-/// rec.finish(250, t);
-/// let s = rec.samples();
-/// assert_eq!(s.len(), 3);
-/// assert_eq!(s[0].delta.dram_accesses, 3);
-/// assert_eq!(s[1].delta.dram_accesses, 0, "no events in window 1");
-/// assert_eq!(s[2].delta.dram_accesses, 2);
-/// ```
-#[deprecated(
-    note = "superseded by ds_probe::PulseSampler; report epochs are now a derived \
-            view over pulse windows (pulse::epoch_view)"
-)]
-#[derive(Debug, Clone)]
-pub struct EpochRecorder {
-    window: u64,
-    /// Index of the currently open window.
-    cur: u64,
-    /// Totals at the open window's start.
-    base: EpochTotals,
-    samples: Vec<EpochSample>,
-}
-
-#[allow(deprecated)]
-impl EpochRecorder {
-    /// A recorder with `window`-cycle epochs. Panics if `window` is 0.
-    pub fn new(window: u64) -> Self {
-        assert!(window > 0, "epoch window must be positive");
-        EpochRecorder {
-            window,
-            cur: 0,
-            base: EpochTotals::default(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The epoch length in cycles.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Notes that the simulation reached `cycle` with cumulative
-    /// counters `totals` (pre-event), closing any windows that ended.
-    pub fn observe(&mut self, cycle: u64, totals: EpochTotals) {
-        let idx = cycle / self.window;
-        while self.cur < idx {
-            self.close(totals);
-        }
-    }
-
-    /// Closes the final (partial) window at end of run.
-    pub fn finish(&mut self, cycle: u64, totals: EpochTotals) {
-        self.observe(cycle, totals);
-        self.close(totals);
-    }
-
-    fn close(&mut self, totals: EpochTotals) {
-        self.samples.push(EpochSample {
-            index: self.cur,
-            delta: totals.delta(self.base),
-        });
-        self.base = totals;
-        self.cur += 1;
-    }
-
-    /// The closed windows so far.
-    pub fn samples(&self) -> &[EpochSample] {
-        &self.samples
-    }
-
-    /// Consumes the recorder, yielding the closed windows.
-    pub fn into_samples(self) -> Vec<EpochSample> {
-        self.samples
-    }
 }
 
 /// Header line for [`render_csv`].
@@ -197,72 +76,33 @@ pub fn render_csv(window: u64, samples: &[EpochSample]) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
     #[test]
-    fn deltas_attribute_to_the_window_they_happened_in() {
-        let mut rec = EpochRecorder::new(10);
-        let mut t = EpochTotals {
-            coh_msgs: 4,
-            ..EpochTotals::default()
-        };
-        rec.observe(3, t); // window 0, nothing closed yet
-        assert!(rec.samples().is_empty());
-
-        t.coh_msgs = 6;
-        rec.observe(10, t); // boundary: window 0 closes with everything so far
-        assert_eq!(rec.samples().len(), 1);
-        assert_eq!(rec.samples()[0].delta.coh_msgs, 6);
-
-        t.coh_msgs = 7;
-        rec.finish(12, t);
-        assert_eq!(rec.samples().len(), 2);
-        assert_eq!(
-            rec.samples()[1],
+    fn csv_has_one_row_per_window_plus_header() {
+        let samples = [
+            EpochSample {
+                index: 0,
+                delta: EpochTotals {
+                    gpu_l2_accesses: 8,
+                    gpu_l2_misses: 2,
+                    ..EpochTotals::default()
+                },
+            },
             EpochSample {
                 index: 1,
                 delta: EpochTotals {
-                    coh_msgs: 1,
+                    coh_msgs: 3,
                     ..EpochTotals::default()
                 },
-            }
-        );
-    }
-
-    #[test]
-    fn quiet_windows_emit_zero_samples() {
-        let mut rec = EpochRecorder::new(10);
-        let t = EpochTotals::default();
-        rec.observe(35, t); // windows 0..3 all closed, empty
-        assert_eq!(rec.samples().len(), 3);
-        assert!(rec
-            .samples()
-            .iter()
-            .all(|s| s.delta == EpochTotals::default()));
-        assert_eq!(rec.samples()[2].index, 2);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_window_plus_header() {
-        let mut rec = EpochRecorder::new(100);
-        let t = EpochTotals {
-            gpu_l2_accesses: 8,
-            gpu_l2_misses: 2,
-            ..EpochTotals::default()
-        };
-        rec.finish(50, t);
-        let csv = render_csv(rec.window(), rec.samples());
+            },
+        ];
+        let csv = render_csv(100, &samples);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("window_start,window_end,"));
         assert_eq!(lines[1], "0,100,8,2,0.2500,0,0,0,0,0,0,0");
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch window must be positive")]
-    fn zero_window_panics() {
-        let _ = EpochRecorder::new(0);
+        assert_eq!(lines[2], "100,200,0,0,0.0000,0,0,3,0,0,0,0");
     }
 }

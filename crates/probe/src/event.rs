@@ -128,8 +128,13 @@ pub enum TraceKind {
     /// Demand hit; `push_hit` marks a hit on a line installed by a
     /// direct-store push and not yet re-fetched.
     Hit {
+        /// The access was a store.
+        write: bool,
         /// Hit on a pushed line.
         push_hit: bool,
+        /// The requester was the GPU (vs. the CPU, whose accesses
+        /// reach a GPU L2 slice only as uncached direct-network reads).
+        gpu: bool,
     },
     /// Demand miss.
     Miss {
@@ -137,7 +142,25 @@ pub enum TraceKind {
         write: bool,
         /// First-ever access to the line (cold miss).
         compulsory: bool,
+        /// The requester was the GPU (see [`TraceKind::Hit`]).
+        gpu: bool,
     },
+    /// The CPU architecturally executed a store to this line.
+    CpuStore {
+        /// The store will drain as a direct-store push (vs. through
+        /// the coherent CPU L2).
+        push: bool,
+    },
+    /// A demand (or prefetch) fill installed this line in a GPU L2
+    /// slice.
+    DemandFill,
+    /// A GPU L2 slice evicted this line to make room for a fill.
+    Evict {
+        /// The victim was dirty and required a writeback.
+        writeback: bool,
+    },
+    /// A coherence probe invalidated a GPU L2 slice's copy.
+    ProbeInvalidate,
     /// A direct-store push installed this line in a GPU L2 slice.
     PushFill,
     /// A push invalidated an older pushed copy of the same line.
@@ -149,6 +172,10 @@ pub enum TraceKind {
         /// Entry drains over the direct network (vs. coherent L2).
         direct: bool,
     },
+    /// A direct-store push exhausted its fault-recovery retries and
+    /// degraded to the CCSM demand path (written to DRAM, never
+    /// installed).
+    PushDegraded,
     /// A direct-store push fully completed (PutX acknowledged).
     PushDone {
         /// Cycles from store-buffer drain to acknowledgement.
@@ -183,16 +210,41 @@ pub enum TraceKind {
         /// Cycle the data burst completed.
         done: u64,
     },
-    /// The hub began a coherence transaction.
-    HubStart {
+    /// A GETS/GETX reached the hub. It opens a transaction at once
+    /// (a [`TraceKind::HubStart`] follows) or queues behind an open
+    /// transaction on the same line.
+    HubRequest {
+        /// The requesting cache ([`Component::CpuL2`] or
+        /// [`Component::GpuL2`]).
+        requester: Component,
         /// The request was a GetX (vs. GetS).
         write: bool,
     },
-    /// The hub retired a coherence transaction (unblock received).
-    HubDone {
-        /// Cycles from request arrival to unblock.
-        latency: u64,
+    /// The hub began a coherence transaction.
+    HubStart {
+        /// The requesting cache.
+        requester: Component,
+        /// The request was a GetX (vs. GetS).
+        write: bool,
     },
+    /// The hub issued the speculative DRAM read of its open
+    /// transaction (the event's cycle is the request's arrival at the
+    /// memory controller).
+    HubDramRead {
+        /// Cycle the bank started servicing.
+        start: u64,
+        /// Cycle the data burst completed.
+        done: u64,
+    },
+    /// The hub granted the open transaction's data to its requester.
+    HubGrant {
+        /// The data came from the speculative DRAM read (vs. a cache
+        /// owner's probe reply).
+        from_mem: bool,
+    },
+    /// The hub retired its open transaction on the line (unblock
+    /// received).
+    HubDone,
     /// A kernel began executing on the SMs.
     KernelBegin {
         /// Kernel sequence number.
@@ -210,8 +262,20 @@ pub enum TraceKind {
         /// Load-to-use latency in cycles.
         latency: u64,
     },
+    /// A tracked transaction began in `stage`.
+    TxnBegin {
+        /// Transaction id.
+        txn: u64,
+        /// First stage.
+        stage: Stage,
+    },
     /// A tracked transaction entered `stage` (leaving its previous
-    /// stage at this cycle).
+    /// stage at this cycle). A mark for a transaction that never
+    /// began, or already completed, is ignored. Marks carry
+    /// [`Component::Txn`], except a [`Stage::CohReq`] mark: it names
+    /// the requesting GPU L2 slice and the line, so the
+    /// [`TraceKind::HubRequest`] that reaches the hub can claim the
+    /// transaction.
     StageMark {
         /// Transaction id.
         txn: u64,
@@ -246,19 +310,28 @@ impl TraceKind {
         match self {
             TraceKind::Hit { .. } => "hit",
             TraceKind::Miss { .. } => "miss",
+            TraceKind::CpuStore { .. } => "cpu_store",
+            TraceKind::DemandFill => "demand_fill",
+            TraceKind::Evict { .. } => "evict",
+            TraceKind::ProbeInvalidate => "probe_invalidate",
             TraceKind::PushFill => "push_fill",
             TraceKind::PushOverwrite => "push_overwrite",
             TraceKind::PushBypass => "push_bypass",
             TraceKind::SbDrain { .. } => "sb_drain",
+            TraceKind::PushDegraded => "push_degraded",
             TraceKind::PushDone { .. } => "push_done",
             TraceKind::TlbMiss => "tlb_miss",
             TraceKind::NetMsg { .. } => "net_msg",
             TraceKind::DramAccess { .. } => "dram_access",
+            TraceKind::HubRequest { .. } => "hub_request",
             TraceKind::HubStart { .. } => "hub_start",
-            TraceKind::HubDone { .. } => "hub_done",
+            TraceKind::HubDramRead { .. } => "hub_dram_read",
+            TraceKind::HubGrant { .. } => "hub_grant",
+            TraceKind::HubDone => "hub_done",
             TraceKind::KernelBegin { .. } => "kernel_begin",
             TraceKind::KernelEnd { .. } => "kernel_end",
             TraceKind::LoadDone { .. } => "load_done",
+            TraceKind::TxnBegin { .. } => "txn_begin",
             TraceKind::StageMark { .. } => "stage_mark",
             TraceKind::TxnDone { .. } => "txn_done",
             TraceKind::PulseAnomaly { .. } => "pulse_anomaly",

@@ -28,11 +28,33 @@ pub fn render_event(e: &TraceEvent) -> String {
         write!(s, ",\"line\":{line}").unwrap();
     }
     match e.kind {
-        TraceKind::Hit { push_hit } => write!(s, ",\"push_hit\":{push_hit}").unwrap(),
-        TraceKind::Miss { write, compulsory } => {
-            write!(s, ",\"write\":{write},\"compulsory\":{compulsory}").unwrap()
-        }
-        TraceKind::PushFill | TraceKind::PushOverwrite | TraceKind::PushBypass => {}
+        TraceKind::Hit {
+            write,
+            push_hit,
+            gpu,
+        } => write!(
+            s,
+            ",\"write\":{write},\"push_hit\":{push_hit},\"gpu\":{gpu}"
+        )
+        .unwrap(),
+        TraceKind::Miss {
+            write,
+            compulsory,
+            gpu,
+        } => write!(
+            s,
+            ",\"write\":{write},\"compulsory\":{compulsory},\"gpu\":{gpu}"
+        )
+        .unwrap(),
+        TraceKind::CpuStore { push } => write!(s, ",\"push\":{push}").unwrap(),
+        TraceKind::Evict { writeback } => write!(s, ",\"writeback\":{writeback}").unwrap(),
+        TraceKind::DemandFill
+        | TraceKind::ProbeInvalidate
+        | TraceKind::PushFill
+        | TraceKind::PushOverwrite
+        | TraceKind::PushBypass
+        | TraceKind::PushDegraded
+        | TraceKind::HubDone => {}
         TraceKind::SbDrain { direct } => write!(s, ",\"direct\":{direct}").unwrap(),
         TraceKind::PushDone { latency } => write!(s, ",\"latency\":{latency}").unwrap(),
         TraceKind::TlbMiss => {}
@@ -59,15 +81,24 @@ pub fn render_event(e: &TraceEvent) -> String {
             ",\"write\":{write},\"row_hit\":{row_hit},\"start\":{start},\"done\":{done}"
         )
         .unwrap(),
-        TraceKind::HubStart { write } => write!(s, ",\"write\":{write}").unwrap(),
-        TraceKind::HubDone { latency } => write!(s, ",\"latency\":{latency}").unwrap(),
+        TraceKind::HubRequest { requester, write } | TraceKind::HubStart { requester, write } => {
+            write!(s, ",\"requester\":\"{}\"", requester.name()).unwrap();
+            if let Some(unit) = requester.unit() {
+                write!(s, ",\"requester_unit\":{unit}").unwrap();
+            }
+            write!(s, ",\"write\":{write}").unwrap()
+        }
+        TraceKind::HubDramRead { start, done } => {
+            write!(s, ",\"start\":{start},\"done\":{done}").unwrap()
+        }
+        TraceKind::HubGrant { from_mem } => write!(s, ",\"from_mem\":{from_mem}").unwrap(),
         TraceKind::KernelBegin { kernel } | TraceKind::KernelEnd { kernel } => {
             write!(s, ",\"kernel\":{kernel}").unwrap()
         }
         TraceKind::LoadDone { warp, latency } => {
             write!(s, ",\"warp\":{warp},\"latency\":{latency}").unwrap()
         }
-        TraceKind::StageMark { txn, stage } => {
+        TraceKind::TxnBegin { txn, stage } | TraceKind::StageMark { txn, stage } => {
             write!(s, ",\"txn\":{txn},\"stage\":\"{}\"", stage.name()).unwrap()
         }
         TraceKind::TxnDone { txn } => write!(s, ",\"txn\":{txn}").unwrap(),
@@ -112,7 +143,11 @@ mod tests {
                 cycle: 12,
                 component: Component::GpuL2 { slice: 1 },
                 line: Some(99),
-                kind: TraceKind::Hit { push_hit: true },
+                kind: TraceKind::Hit {
+                    write: false,
+                    push_hit: true,
+                    gpu: true,
+                },
             },
             TraceEvent {
                 cycle: 15,
@@ -132,7 +167,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines[0],
-            r#"{"cycle":12,"component":"gpu_l2","unit":1,"kind":"hit","line":99,"push_hit":true}"#
+            r#"{"cycle":12,"component":"gpu_l2","unit":1,"kind":"hit","line":99,"write":false,"push_hit":true,"gpu":true}"#
         );
         assert_eq!(
             lines[1],

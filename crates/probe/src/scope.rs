@@ -521,7 +521,10 @@ mod tests {
                 cycle: 42,
                 component: Component::Hub,
                 line: Some(7),
-                kind: TraceKind::HubStart { write: true },
+                kind: TraceKind::HubStart {
+                    requester: Component::CpuL2,
+                    write: true,
+                },
             });
             panic!("sim blew up");
         }));

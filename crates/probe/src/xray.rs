@@ -1,17 +1,20 @@
 //! `ds-xray`: stitching trace events back into per-transaction
 //! records.
 //!
-//! The runtime emits a [`crate::TraceKind::StageMark`] at every
-//! lifecycle hand-off and a [`crate::TraceKind::TxnDone`] at
-//! completion. This module reassembles that flat stream into
-//! [`TxnRecord`]s — one per completed transaction, with the ordered
-//! `(stage, cycle)` marks — and derives the two views the `dsxray`
-//! CLI prints: an aggregate [`StageBreakdown`] (which must agree
-//! exactly with the one the live [`crate::StageTracker`] accumulated)
-//! and the slowest-transaction critical paths.
+//! The runtime reports every lifecycle hand-off on the trace stream. This
+//! module reads the same stage marks the live [`crate::StageTracker`]
+//! folds — explicit `TxnBegin`/`StageMark`/`TxnDone` events plus the
+//! hub events a coherence request passes through — and reassembles them
+//! into [`TxnRecord`]s, one per completed transaction, with the ordered
+//! `(stage, cycle)` marks. From those it derives the two views the
+//! `dsxray` CLI prints: an aggregate [`StageBreakdown`] (which must agree
+//! exactly with the one the live tracker accumulated) and the
+//! slowest-transaction critical paths.
 
-use crate::stage::{Stage, StageBreakdown, TxnPath};
-use crate::{TraceEvent, TraceKind};
+use std::collections::HashMap;
+
+use crate::stage::{Mark, Stage, StageBreakdown, StageRouter, TxnPath};
+use crate::TraceEvent;
 
 /// One completed transaction reassembled from the trace stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,29 +53,34 @@ impl TxnRecord {
 /// Reassembles completed transactions from a trace stream. Records are
 /// returned in completion order (the order `TxnDone` events appear),
 /// which is deterministic because the trace stream itself is.
-/// Transactions still in flight at the end of the stream are dropped.
+/// Transactions still in flight at the end of the stream are dropped,
+/// and, as in the live tracker, marks for transactions that never
+/// began or already completed are ignored.
 pub fn stitch(events: &[TraceEvent]) -> Vec<TxnRecord> {
-    let mut open: std::collections::HashMap<u64, Vec<(Stage, u64)>> =
-        std::collections::HashMap::new();
+    let mut router = StageRouter::default();
+    let mut open: HashMap<u64, Vec<(Stage, u64)>> = HashMap::new();
     let mut done = Vec::new();
     for e in events {
-        match e.kind {
-            TraceKind::StageMark { txn, stage } => {
-                open.entry(txn).or_default().push((stage, e.cycle));
+        router.route(e, |m| match m {
+            Mark::Begin { txn, stage, at } => {
+                open.insert(txn, vec![(stage, at)]);
             }
-            TraceKind::TxnDone { txn } => {
+            Mark::Advance { txn, stage, at } => {
+                if let Some(marks) = open.get_mut(&txn) {
+                    marks.push((stage, at));
+                }
+            }
+            Mark::Finish { txn, at } => {
                 if let Some(marks) = open.remove(&txn) {
-                    let path = marks.first().map_or(TxnPath::GpuLoad, |&(s, _)| s.path());
                     done.push(TxnRecord {
                         txn,
-                        path,
+                        path: marks[0].0.path(),
                         marks,
-                        end: e.cycle,
+                        end: at,
                     });
                 }
             }
-            _ => {}
-        }
+        });
     }
     done
 }
@@ -128,7 +136,16 @@ pub fn p99_threshold(records: &[TxnRecord], path: TxnPath) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Component;
+    use crate::{Component, TraceKind};
+
+    fn begin(cycle: u64, txn: u64, stage: Stage) -> TraceEvent {
+        TraceEvent {
+            cycle,
+            component: Component::Txn,
+            line: None,
+            kind: TraceKind::TxnBegin { txn, stage },
+        }
+    }
 
     fn mark(cycle: u64, txn: u64, stage: Stage) -> TraceEvent {
         TraceEvent {
@@ -151,14 +168,16 @@ mod tests {
     #[test]
     fn stitch_reassembles_interleaved_transactions() {
         let events = vec![
-            mark(10, 0, Stage::SmL1),
-            mark(12, 1, Stage::SbWait),
+            begin(10, 0, Stage::SmL1),
+            begin(12, 1, Stage::SbWait),
             mark(14, 0, Stage::GpuNocReq),
             mark(20, 1, Stage::DirectNoc),
             finish(30, 0),
             mark(33, 1, Stage::DirectAck),
             finish(40, 1),
-            mark(50, 2, Stage::SmL1), // never completes: dropped
+            begin(50, 2, Stage::SmL1),  // never completes: dropped
+            mark(55, 9, Stage::HubDir), // never began: ignored
+            finish(56, 9),
         ];
         let records = stitch(&events);
         assert_eq!(records.len(), 2);
@@ -176,10 +195,10 @@ mod tests {
     #[test]
     fn breakdown_matches_hand_computation_and_telescopes() {
         let events = vec![
-            mark(0, 0, Stage::SmL1),
+            begin(0, 0, Stage::SmL1),
             mark(7, 0, Stage::SliceToSm),
             finish(9, 0),
-            mark(5, 1, Stage::SbWait),
+            begin(5, 1, Stage::SbWait),
             finish(11, 1),
         ];
         let records = stitch(&events);
@@ -196,11 +215,11 @@ mod tests {
     #[test]
     fn slowest_orders_by_latency_then_txn() {
         let events = vec![
-            mark(0, 0, Stage::SmL1),
+            begin(0, 0, Stage::SmL1),
             finish(10, 0),
-            mark(0, 1, Stage::SmL1),
+            begin(0, 1, Stage::SmL1),
             finish(30, 1),
-            mark(5, 2, Stage::SmL1),
+            begin(5, 2, Stage::SmL1),
             finish(15, 2), // same latency as txn 0: id breaks the tie
         ];
         let records = stitch(&events);
@@ -214,7 +233,7 @@ mod tests {
     fn p99_threshold_picks_the_tail() {
         let mut events = Vec::new();
         for i in 0..100u64 {
-            events.push(mark(0, i, Stage::SmL1));
+            events.push(begin(0, i, Stage::SmL1));
             events.push(finish(i + 1, i)); // latencies 1..=100
         }
         let records = stitch(&events);

@@ -25,6 +25,7 @@
 
 use ds_core::Scenario as _;
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
+use ds_probe::NullTracer;
 use ds_runner::{postmortem_path, Runner, Task, TaskOutcome};
 use ds_workloads::catalog;
 use std::path::Path;
@@ -459,10 +460,19 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
         let bench = catalog::by_code(code).expect("codes come from the catalog");
 
         // 1. Zero-fault identity: an inactive plan must not perturb
-        // the simulation in any observable way.
+        // the simulation in any observable way, whatever its seed.
+        let inactive = FaultPlan {
+            seed: opts.seed,
+            ..FaultPlan::default()
+        };
         for mode in [Mode::Ccsm, opts.ds_mode] {
-            let plain = pipeline.run_one(&bench, opts.input, mode);
-            let faulted = pipeline.run_one_faulted(&bench, opts.input, mode, &FaultPlan::default());
+            let run = |plan: &FaultPlan| {
+                pipeline
+                    .run(&bench, opts.input, mode, NullTracer, plan, None)
+                    .0
+            };
+            let plain = run(&FaultPlan::default());
+            let faulted = run(&inactive);
             match (&plain, &faulted) {
                 (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => {}
                 (Ok(_), Ok(_)) => {
@@ -493,7 +503,10 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
         plan.direct_net.delay = 8192;
         plan.direct_net.delay_cycles = 400;
         plan.direct_net.dup = 1024;
-        match pipeline.run_one_faulted(&bench, opts.input, opts.ds_mode, &plan) {
+        match pipeline
+            .run(&bench, opts.input, opts.ds_mode, NullTracer, &plan, None)
+            .0
+        {
             Ok(r) => {
                 if r.pushes_attempted != r.direct_pushes + r.pushes_degraded {
                     eprintln!(

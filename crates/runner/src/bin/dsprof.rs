@@ -16,7 +16,7 @@
 //! dsprof trend [--dir DIR] [--last N]
 //! ```
 
-use ds_core::{InputSize, Mode, Pipeline, RunReport, Scenario, SystemConfig};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, Scenario, SystemConfig};
 use ds_probe::prof::{self, HostPhase, HostProfile, ProbeLevel};
 use ds_runner::json::{self, Json};
 
@@ -202,13 +202,19 @@ fn run_profiled_pulsed(
     window: Option<u64>,
 ) -> RunReport {
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
-    pipeline
-        .run_one_instrumented(bench, input, mode, ds_probe::NullTracer, window)
-        .map(|(report, _)| report)
-        .unwrap_or_else(|e| {
-            eprintln!("dsprof: {e}");
-            std::process::exit(1);
-        })
+    let pulse = window.map(ds_probe::PulseConfig::with_window);
+    let (result, _) = pipeline.run(
+        bench,
+        input,
+        mode,
+        ds_probe::NullTracer,
+        &FaultPlan::default(),
+        pulse,
+    );
+    result.unwrap_or_else(|e| {
+        eprintln!("dsprof: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn ms(nanos: u64) -> f64 {

@@ -434,16 +434,22 @@ fn run_check(window: u64) -> Result<(), String> {
     for bench in catalog::all() {
         for mode in [Mode::Ccsm, Mode::DirectStore] {
             let label = format!("{} small {mode}", bench.code());
-            let baseline = pipeline
-                .run_one(&bench, InputSize::Small, mode)
-                .map_err(|e| format!("{label}: baseline run failed: {e}"))?;
-            let (result, _) = pipeline.run_one_pulsed(
+            let (baseline, _) = pipeline.run(
                 &bench,
                 InputSize::Small,
                 mode,
                 NullTracer,
-                cfg,
                 &FaultPlan::default(),
+                None,
+            );
+            let baseline = baseline.map_err(|e| format!("{label}: baseline run failed: {e}"))?;
+            let (result, _) = pipeline.run(
+                &bench,
+                InputSize::Small,
+                mode,
+                NullTracer,
+                &FaultPlan::default(),
+                Some(cfg),
             );
             let pulsed = result.map_err(|e| format!("{label}: pulsed run failed: {e}"))?;
             let series = pulsed
@@ -461,13 +467,13 @@ fn run_check(window: u64) -> Result<(), String> {
     // the direct network force retries, and the retry-burst / livelock-
     // precursor detectors must see them.
     let plan = fault_plan(7, 0, 32_000, 400);
-    let (result, _) = pipeline.run_one_pulsed(
+    let (result, _) = pipeline.run(
         catalog::by_code("VA").as_ref().expect("VA is in Table II"),
         InputSize::Small,
         Mode::DirectStore,
         NullTracer,
-        cfg,
         &plan,
+        Some(cfg),
     );
     let faulted = result.map_err(|e| format!("seeded fault run failed: {e}"))?;
     let series = faulted
@@ -519,13 +525,13 @@ fn main() {
     }
     let pipeline = Pipeline::with_config(cfg);
     let plan = fault_plan(opts.seed, opts.drop, opts.delay, opts.delay_cycles);
-    let (result, _) = pipeline.run_one_pulsed(
+    let (result, _) = pipeline.run(
         &bench,
         opts.input,
         opts.mode,
         NullTracer,
-        PulseConfig::with_window(opts.window),
         &plan,
+        Some(PulseConfig::with_window(opts.window)),
     );
     let report = result.unwrap_or_else(|e| {
         eprintln!("dspulse: {e}");
@@ -594,13 +600,13 @@ mod tests {
     fn dashboard_and_report_render_a_real_run() {
         let pipeline = Pipeline::with_config(SystemConfig::paper_default());
         let bench = catalog::by_code("VA").unwrap();
-        let (result, _) = pipeline.run_one_pulsed(
+        let (result, _) = pipeline.run(
             &bench,
             InputSize::Small,
             Mode::DirectStore,
             NullTracer,
-            PulseConfig::default(),
             &FaultPlan::default(),
+            Some(PulseConfig::default()),
         );
         let report = result.unwrap();
         let series = report.pulse.as_ref().unwrap();
@@ -620,15 +626,23 @@ mod tests {
         let pipeline = Pipeline::with_config(SystemConfig::paper_default());
         let bench = catalog::by_code("VA").unwrap();
         let baseline = pipeline
-            .run_one(&bench, InputSize::Small, Mode::DirectStore)
+            .run(
+                &bench,
+                InputSize::Small,
+                Mode::DirectStore,
+                NullTracer,
+                &FaultPlan::default(),
+                None,
+            )
+            .0
             .unwrap();
-        let (result, _) = pipeline.run_one_pulsed(
+        let (result, _) = pipeline.run(
             &bench,
             InputSize::Small,
             Mode::DirectStore,
             NullTracer,
-            PulseConfig::default(),
             &FaultPlan::default(),
+            Some(PulseConfig::default()),
         );
         let pulsed = result.unwrap();
         check_bit_identity(&baseline, &pulsed).unwrap();

@@ -11,8 +11,8 @@
 //!         [--out FILE] [--check]
 //! ```
 
-use ds_core::{InputSize, Mode, Pipeline, RunReport, SystemConfig};
-use ds_probe::{chrome, jsonl, render_epoch_csv, BufferTracer};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
+use ds_probe::{chrome, jsonl, render_epoch_csv, BufferTracer, PulseConfig};
 use ds_runner::json;
 
 const USAGE: &str = "usage: dstrace --bench CODE [options]
@@ -269,13 +269,19 @@ fn main() {
         .window
         .or((opts.format == Format::Epochs).then_some(1000));
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
-    let (report, tracer) = pipeline
-        .run_one_instrumented(&bench, opts.input, opts.mode, BufferTracer::new(), window)
-        .unwrap_or_else(|e| {
-            eprintln!("dstrace: {e}");
-            std::process::exit(1);
-        });
-    let events = tracer.into_events();
+    let (result, probes) = pipeline.run(
+        &bench,
+        opts.input,
+        opts.mode,
+        BufferTracer::new(),
+        &FaultPlan::default(),
+        window.map(PulseConfig::with_window),
+    );
+    let report = result.unwrap_or_else(|e| {
+        eprintln!("dstrace: {e}");
+        std::process::exit(1);
+    });
+    let events = probes.tracer.into_events();
 
     let text = match opts.format {
         Format::Summary => summary(&report, events.len()),

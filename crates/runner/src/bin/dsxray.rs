@@ -13,7 +13,7 @@
 //!        [--out FILE]
 //! ```
 
-use ds_core::{InputSize, Mode, Pipeline, RunReport, SystemConfig};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
 use ds_probe::{xray, BufferTracer, Stage, StageBreakdown, TxnPath};
 
 const USAGE: &str = "usage: dsxray --bench CODE [options]
@@ -111,13 +111,19 @@ fn run_mode(code: &str, input: InputSize, mode: Mode) -> ModeView {
         std::process::exit(1);
     });
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
-    let (report, tracer) = pipeline
-        .run_one_instrumented(&bench, input, mode, BufferTracer::new(), None)
-        .unwrap_or_else(|e| {
-            eprintln!("dsxray: {e}");
-            std::process::exit(1);
-        });
-    let records = xray::stitch(&tracer.into_events());
+    let (result, probes) = pipeline.run(
+        &bench,
+        input,
+        mode,
+        BufferTracer::new(),
+        &FaultPlan::default(),
+        None,
+    );
+    let report = result.unwrap_or_else(|e| {
+        eprintln!("dsxray: {e}");
+        std::process::exit(1);
+    });
+    let records = xray::stitch(probes.tracer.events());
     let stitched = xray::breakdown(&records);
     ModeView {
         report,
@@ -409,7 +415,7 @@ mod tests {
                 cycle: 10,
                 component: Component::GpuL1 { sm: 0 },
                 line: Some(4),
-                kind: TraceKind::StageMark {
+                kind: TraceKind::TxnBegin {
                     txn: 1,
                     stage: Stage::SmL1,
                 },

@@ -54,7 +54,7 @@ pub mod report;
 pub mod shared;
 pub mod store;
 
-pub use exec::{default_jobs, postmortem_path, Runner, TaskOutcome};
+pub use exec::{default_jobs, panic_message, postmortem_path, Runner, TaskOutcome};
 pub use fingerprint::{config_fingerprint, fnv1a};
 pub use job::{dedup_tasks, fault_fingerprint, sweep_tasks, Task, TaskKey};
 pub use report::{

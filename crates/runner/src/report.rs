@@ -142,12 +142,12 @@ fn latency_to_json(l: &LatencyReport) -> Json {
 
 fn latency_from_json(json: &Json) -> Result<LatencyReport, String> {
     let field = |name: &'static str| histogram_from_json(&sub(json, name)?, name);
-    Ok(LatencyReport {
-        load_to_use: field(LatencyReport::LOAD_TO_USE)?,
-        push_e2e: field(LatencyReport::PUSH_E2E)?,
-        hub_txn: field(LatencyReport::HUB_TXN)?,
-        dram_queue: field(LatencyReport::DRAM_QUEUE)?,
-    })
+    let mut report = LatencyReport::new();
+    report.load_to_use = field(LatencyReport::LOAD_TO_USE)?;
+    report.push_e2e = field(LatencyReport::PUSH_E2E)?;
+    report.hub_txn = field(LatencyReport::HUB_TXN)?;
+    report.dram_queue = field(LatencyReport::DRAM_QUEUE)?;
+    Ok(report)
 }
 
 /// Serializes a stage breakdown: the per-stage cycle totals keyed by

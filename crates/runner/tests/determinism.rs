@@ -8,7 +8,8 @@
 //! 3. a disk-cache-warm fresh runner performs zero simulations and
 //!    reproduces the same reports.
 
-use ds_core::{InputSize, Mode, Pipeline, SystemConfig};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
+use ds_probe::NullTracer;
 use ds_runner::{Runner, Task};
 use ds_workloads::catalog;
 
@@ -34,9 +35,15 @@ fn serial_reference(cfg: &SystemConfig) -> Vec<String> {
         .iter()
         .map(|t| {
             let bench = catalog::by_code(&t.code).expect("test codes are in the catalog");
-            let report = pipeline
-                .run_one(&bench, t.input, t.mode)
-                .expect("translates");
+            let (report, _) = pipeline.run(
+                &bench,
+                t.input,
+                t.mode,
+                NullTracer,
+                &FaultPlan::default(),
+                None,
+            );
+            let report = report.expect("translates");
             format!("{report:?}")
         })
         .collect()

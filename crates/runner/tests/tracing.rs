@@ -10,16 +10,22 @@
 //! 3. attaching a recording tracer does not perturb the simulation:
 //!    the report equals the untraced (NullTracer) run bit for bit.
 
-use ds_core::{InputSize, Mode, Pipeline, SystemConfig};
-use ds_probe::{jsonl, BufferTracer, Component, NetId, TraceKind};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
+use ds_probe::{jsonl, BufferTracer, Component, NetId, NullTracer, TraceKind};
 use ds_workloads::catalog;
 
 fn traced_run(code: &str, mode: Mode) -> (ds_core::RunReport, BufferTracer) {
     let cfg = SystemConfig::paper_default();
     let bench = catalog::by_code(code).expect("test codes are in the catalog");
-    Pipeline::with_config(cfg)
-        .run_one_instrumented(&bench, InputSize::Small, mode, BufferTracer::new(), None)
-        .expect("translates and runs")
+    let (result, probes) = Pipeline::with_config(cfg).run(
+        &bench,
+        InputSize::Small,
+        mode,
+        BufferTracer::new(),
+        &FaultPlan::default(),
+        None,
+    );
+    (result.expect("translates and runs"), probes.tracer)
 }
 
 #[test]
@@ -87,18 +93,25 @@ fn recording_tracer_does_not_perturb_the_simulation() {
     let cfg = SystemConfig::paper_default();
     let bench = catalog::by_code("NN").expect("NN is in the catalog");
     let pipeline = Pipeline::with_config(cfg);
-    let baseline = pipeline
-        .run_one(&bench, InputSize::Small, Mode::DirectStore)
-        .expect("untraced run succeeds");
-    let (traced, _) = pipeline
-        .run_one_instrumented(
-            &bench,
-            InputSize::Small,
-            Mode::DirectStore,
-            BufferTracer::new(),
-            None,
-        )
-        .expect("traced run succeeds");
+    let fault_free = FaultPlan::default();
+    let (baseline, _) = pipeline.run(
+        &bench,
+        InputSize::Small,
+        Mode::DirectStore,
+        NullTracer,
+        &fault_free,
+        None,
+    );
+    let baseline = baseline.expect("untraced run succeeds");
+    let (traced, _) = pipeline.run(
+        &bench,
+        InputSize::Small,
+        Mode::DirectStore,
+        BufferTracer::new(),
+        &fault_free,
+        None,
+    );
+    let traced = traced.expect("traced run succeeds");
     assert_eq!(
         format!("{baseline:?}"),
         format!("{traced:?}"),

@@ -10,16 +10,22 @@
 //!    routes zero messages over the direct network (negative control
 //!    for the mode split, with a direct-store positive control).
 
-use ds_core::{InputSize, Mode, Pipeline, SystemConfig};
+use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
 use ds_probe::{xray, BufferTracer, Stage, TxnPath};
 use ds_workloads::catalog;
 
 fn traced_run(code: &str, mode: Mode) -> (ds_core::RunReport, BufferTracer) {
     let cfg = SystemConfig::paper_default();
     let bench = catalog::by_code(code).expect("test codes are in the catalog");
-    Pipeline::with_config(cfg)
-        .run_one_instrumented(&bench, InputSize::Small, mode, BufferTracer::new(), None)
-        .expect("translates and runs")
+    let (result, probes) = Pipeline::with_config(cfg).run(
+        &bench,
+        InputSize::Small,
+        mode,
+        BufferTracer::new(),
+        &FaultPlan::default(),
+        None,
+    );
+    (result.expect("translates and runs"), probes.tracer)
 }
 
 #[test]

@@ -603,17 +603,23 @@ mod tests {
     #[test]
     fn idempotency_key_attaches_retries_to_the_original_job() {
         let queue = JobQueue::new(1);
-        let (job, deduplicated) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (job, deduplicated) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         assert!(!deduplicated);
         // The retry attaches even though the admission slot is taken.
-        let (again, deduplicated) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (again, deduplicated) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         assert!(deduplicated);
         assert_eq!(again.id, job.id);
         assert_eq!(queue.open_jobs(), 1, "no duplicate admission");
         assert_eq!(queue.depth(), 1, "no duplicate work items");
         // A different key is a genuinely new submission (rejected here:
         // the single slot is taken).
-        assert!(queue.submit_keyed(tasks(1), 0, Some("key-2"), None).is_err());
+        assert!(queue
+            .submit_keyed(tasks(1), 0, Some("key-2"), None)
+            .is_err());
         // Keyless submissions never deduplicate.
         assert!(queue.submit_keyed(tasks(1), 0, None, None).is_err());
     }
@@ -621,12 +627,18 @@ mod tests {
     #[test]
     fn idempotent_retry_attaches_even_during_shutdown() {
         let queue = JobQueue::new(4);
-        let (job, _) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (job, _) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         queue.shutdown();
-        let (again, deduplicated) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (again, deduplicated) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         assert!(deduplicated);
         assert_eq!(again.id, job.id);
-        assert!(queue.submit_keyed(tasks(1), 0, Some("key-2"), None).is_err());
+        assert!(queue
+            .submit_keyed(tasks(1), 0, Some("key-2"), None)
+            .is_err());
     }
 
     #[test]
@@ -669,7 +681,9 @@ mod tests {
         assert_eq!(fresh.id, 10);
         assert!(!fresh.recovered);
         // ...and restored idempotency keys still deduplicate retries.
-        let (again, deduplicated) = queue.submit_keyed(tasks(1), 0, Some("idem-7"), None).unwrap();
+        let (again, deduplicated) = queue
+            .submit_keyed(tasks(1), 0, Some("idem-7"), None)
+            .unwrap();
         assert!(deduplicated);
         assert_eq!(again.id, 7);
     }
@@ -677,7 +691,9 @@ mod tests {
     #[test]
     fn reused_key_with_different_tasks_conflicts() {
         let queue = JobQueue::new(4);
-        let (job, _) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (job, _) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         // Same key, different sweep: refusing is the only answer that
         // neither duplicates work nor serves unrelated results.
         let rejection = queue
@@ -687,7 +703,9 @@ mod tests {
         assert_eq!(rejection.status(), 409);
         assert_eq!(queue.open_jobs(), 1, "no second admission");
         // The original mapping is intact.
-        let (again, deduplicated) = queue.submit_keyed(tasks(1), 0, Some("key-1"), None).unwrap();
+        let (again, deduplicated) = queue
+            .submit_keyed(tasks(1), 0, Some("key-1"), None)
+            .unwrap();
         assert!(deduplicated);
         assert_eq!(again.id, job.id);
     }

@@ -31,7 +31,7 @@ use ds_probe::scope::{self, SpanKind, SpanRecord};
 use ds_probe::{PulseSeries, ServiceMetrics};
 use ds_runner::json::Json;
 use ds_runner::shared::SharedStore;
-use ds_runner::{default_jobs, Runner, Task, TaskOutcome};
+use ds_runner::{default_jobs, panic_message, Runner, Task, TaskOutcome};
 
 use crate::http::{read_request, write_response, Request, Response};
 use crate::jobs::{JobQueue, JobRecord, TaskResult, WorkItem};
@@ -486,17 +486,6 @@ fn publish_task_events(job: &JobRecord, idx: usize, result: &TaskResult, done_us
     ]));
 }
 
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
 /// One worker: drain the queue through the shared store until
 /// shutdown, publishing span telemetry onto each job's event log.
 fn worker_loop(state: &ServeState) {
@@ -549,7 +538,7 @@ pub(crate) fn process_item_with(
         Err(payload) => {
             state.with_metrics(|m| m.worker_panics += 1);
             TaskResult {
-                outcome: TaskOutcome::Panicked(panic_message(payload)),
+                outcome: TaskOutcome::Panicked(panic_message(&*payload)),
                 provenance: Provenance::Computed,
                 spans: Vec::new(),
             }
