@@ -83,21 +83,21 @@ pub struct RunReport {
     pub events: u64,
     /// Sim-wide latency distributions (GPU load-to-use, direct-push
     /// end-to-end, hub transaction, DRAM queue) with p50/p95/p99
-    /// summaries.
+    /// summaries, folded from the trace stream at every probe level.
     pub latency: LatencyReport,
     /// Per-transaction cycle accounting aggregated over all completed
     /// GPU loads and direct-store pushes: total cycles per lifecycle
-    /// stage plus per-path counts and end-to-end sums. Collected
-    /// unconditionally (like [`RunReport::latency`]); for every
-    /// completed transaction the stage cycles sum exactly to its
-    /// end-to-end latency.
+    /// stage plus per-path counts and end-to-end sums, folded from the
+    /// trace stream at probe level `stages` and above (all zero below);
+    /// for every completed transaction the stage cycles sum exactly to
+    /// its end-to-end latency.
     pub stages: StageBreakdown,
     /// Per-cacheline forensics aggregated over the run: push efficacy
     /// (useful / dead / clobbered, reconciling exactly against
     /// `gpu_l2.pushed_fills`), sharing pathologies (ping-pong,
     /// write-after-push), first-touch / reuse histograms, and
-    /// per-slice / per-bank / per-link traffic heatmaps. Collected
-    /// unconditionally (like [`RunReport::latency`]).
+    /// per-slice / per-bank / per-link traffic heatmaps, folded from
+    /// the trace stream at probe level `full` (all zero below).
     pub lens: LensReport,
     /// Cycle-domain time-series telemetry: per-window counter deltas,
     /// sampled gauges and anomaly annotations from the pulse sampler.

@@ -56,11 +56,11 @@ pub enum HostPhase {
     NocTick,
     /// DRAM bank timing (queue + service computation).
     DramTick,
-    /// Observability tax: `StageTracker` begin/advance/finish.
+    /// Observability tax: the `StageTracker` fold.
     TaxStages,
-    /// Observability tax: `LineLens` per-line event recording.
+    /// Observability tax: the `LineLens` fold's per-line recording.
     TaxLens,
-    /// Observability tax: the always-on latency histograms.
+    /// Observability tax: the latency fold's histogram updates.
     TaxHistograms,
     /// Observability tax: pulse window sampling (snapshot + close +
     /// anomaly detection; the epoch series is a derived view over the
@@ -129,12 +129,13 @@ impl HostPhase {
     }
 }
 
-/// Runtime switch for the optional observability layers. Ordered:
-/// each level collects strictly more than the one below it. The
-/// always-on latency histograms are part of the reported results and
-/// stay on at every level; only *simulated-cycle* outputs are
-/// level-invariant (bit-identical), observability aggregates
-/// (stages, lens) are empty at levels that shed them.
+/// Runtime switch for the optional observability layers: the level
+/// chooses which folds a system's [`crate::Probes`] fan-out holds.
+/// Ordered: each level collects strictly more than the one below it.
+/// The latency histograms are part of the reported results and stay on
+/// at every level; only *simulated-cycle* outputs are level-invariant
+/// (bit-identical), observability aggregates (stages, lens) are empty
+/// at levels that shed them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProbeLevel {
     /// Sheds both `StageTracker` and `LineLens` collection.

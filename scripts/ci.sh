@@ -94,6 +94,20 @@ scripts/bench.sh --smoke --out "$smoke_dir/bench-smoke.json"
 echo "==> bench_diff.sh regression gate (smoke baseline vs itself)"
 scripts/bench_diff.sh "$smoke_dir/bench-smoke.json" "$smoke_dir/bench-smoke.json"
 
+echo "==> exact-output gate (committed results and ds-gauge pins, byte for byte)"
+# The simulator is deterministic, so its committed outputs are pinned
+# exactly, not within a tolerance. A deliberate model change
+# regenerates them (commands in results/README.md; ds-gauge --pin).
+cargo run --release -q -p ds-bench --bin export_csv -- small \
+  > "$smoke_dir/evaluation_small.csv" 2> "$smoke_dir/exact.log"
+cmp "$smoke_dir/evaluation_small.csv" results/evaluation_small.csv
+cargo run --release -q -p ds-bench --bin fig4_speedup -- both \
+  > "$smoke_dir/fig4_speedup.txt" 2>> "$smoke_dir/exact.log"
+cmp "$smoke_dir/fig4_speedup.txt" results/fig4_speedup.txt
+cargo run --release --offline -q --manifest-path ds-gauge/Cargo.toml -- --pin \
+  > "$smoke_dir/pinned.csv" 2>> "$smoke_dir/exact.log"
+cmp "$smoke_dir/pinned.csv" ds-gauge/pinned.csv
+
 echo "==> perf regression gate (small catalog vs committed BENCH_2026-08-08.json)"
 # The simulator is deterministic, so a >5% cycle delta against the
 # committed reference baseline is a real behavioral change, not noise.
