@@ -4,7 +4,8 @@
 //! cache lookups, protocol transitions, and the direct-store push
 //! path (see EXPERIMENTS.md, "Host-time profiling"). These benches
 //! isolate each path at the unit level so a regression shows up here
-//! before it moves the end-to-end numbers tracked by `dsprof trend`.
+//! before it moves ds-gauge's end-to-end `wall_s` and
+//! `sim_mcyc_per_s`.
 //!
 //! Everything is deterministic: address streams come from a fixed
 //! multiplicative mixer, never from a random source, so two runs of

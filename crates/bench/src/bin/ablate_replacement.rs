@@ -7,18 +7,17 @@
 //! All three modes of every catalog benchmark are batched through the
 //! `ds-runner` subsystem and simulated in parallel.
 //!
-//! Usage: `ablate_replacement [small|big]`
+//! Usage: `ablate_replacement [small|big|both]` (default both)
 
-use ds_bench::{exit_on_error, parse_sizes};
+use ds_bench::{exit_on_error, sizes_from_args};
 use ds_core::{Mode, Scenario, SystemConfig};
 use ds_runner::{Runner, Task};
 use ds_workloads::catalog;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = SystemConfig::paper_default();
     let mut runner = Runner::new();
-    for input in parse_sizes(&args[..args.len().min(1)]) {
+    for input in sizes_from_args("ablate_replacement") {
         let codes: Vec<String> = catalog::all()
             .iter()
             .map(|b| b.code().to_string())

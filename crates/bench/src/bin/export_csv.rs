@@ -16,14 +16,13 @@
 //! Usage: `export_csv [small|big|both]` (default both); writes to
 //! stdout.
 
-use ds_bench::{exit_on_error, parse_sizes};
+use ds_bench::{exit_on_error, sizes_from_args};
 use ds_core::{Mode, Scenario, SystemConfig};
 use ds_runner::{report_csv_row, Runner, Task, REPORT_CSV_HEADER};
 use ds_workloads::catalog;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sizes = parse_sizes(&args);
+    let sizes = sizes_from_args("export_csv");
     let cfg = SystemConfig::paper_default();
 
     let mut plan = Vec::new();

@@ -9,16 +9,15 @@
 //! Usage: `fig4_speedup [small|big|both]`
 
 use ds_bench::{
-    bar, exit_on_error, geomean_nonzero_speedup_percent, parse_sizes, FLAT_SPEEDUP_EPSILON,
+    bar, exit_on_error, geomean_nonzero_speedup_percent, sizes_from_args, FLAT_SPEEDUP_EPSILON,
 };
 use ds_core::{Mode, SystemConfig};
 use ds_runner::Runner;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = SystemConfig::paper_default();
     let mut runner = Runner::new();
-    for input in parse_sizes(&args) {
+    for input in sizes_from_args("fig4_speedup") {
         println!();
         println!("FIG. 4 ({input}) — DIRECT-STORE SPEEDUP OVER CCSM");
         println!("==================================================");

@@ -8,15 +8,14 @@
 //!
 //! Usage: `fig5_missrate [small|big|both]`
 
-use ds_bench::{bar, exit_on_error, geomean_miss_rate_percent, parse_sizes};
+use ds_bench::{bar, exit_on_error, geomean_miss_rate_percent, sizes_from_args};
 use ds_core::{Mode, SystemConfig};
 use ds_runner::Runner;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = SystemConfig::paper_default();
     let mut runner = Runner::new();
-    for input in parse_sizes(&args) {
+    for input in sizes_from_args("fig5_missrate") {
         println!();
         println!("FIG. 5 ({input}) — GPU L2 MISS RATE, CCSM vs DIRECT STORE");
         println!("==========================================================");

@@ -14,59 +14,11 @@
 //! | `fig5_missrate` | Fig. 5 (GPU L2 miss rates, small/big inputs) |
 //! | `ablate_*` | design-choice ablations (DESIGN.md) |
 //!
-//! This library holds the shared sweep/formatting code; the binaries
-//! are thin wrappers over the `ds-runner` orchestration subsystem
-//! (parallel execution, memoization, `DS_RUNNER_JOBS`).
+//! This library holds the shared formatting and argument code; the
+//! binaries are thin wrappers over the `ds-runner` orchestration
+//! subsystem (parallel execution, memoization, `DS_RUNNER_JOBS`).
 
-use ds_core::{Comparison, InputSize, Mode, PipelineError, RunReport, SystemConfig};
-use ds_runner::Runner;
-use ds_workloads::Benchmark;
-
-/// Runs the full 22-benchmark comparison sweep at `input`.
-///
-/// # Errors
-///
-/// Returns the first benchmark's translation failure — a regression if
-/// it ever happens, since every catalog entry is translation-tested.
-pub fn run_sweep(cfg: &SystemConfig, input: InputSize) -> Result<Vec<Comparison>, PipelineError> {
-    run_sweep_with(cfg, input, |_| true)
-}
-
-/// Runs the comparison sweep over the benchmarks `filter` selects.
-///
-/// Thin wrapper over [`ds_runner::Runner::sweep`] with progress lines
-/// off; binaries that want cross-sweep memoization or progress build
-/// their own `Runner`.
-///
-/// # Errors
-///
-/// Returns the first selected benchmark's failure.
-pub fn run_sweep_with(
-    cfg: &SystemConfig,
-    input: InputSize,
-    filter: impl Fn(&Benchmark) -> bool,
-) -> Result<Vec<Comparison>, PipelineError> {
-    Runner::new()
-        .progress(false)
-        .sweep(cfg, input, Mode::DirectStore, filter)
-}
-
-/// Runs one benchmark under one mode.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::UnknownBenchmark`] for a code not in the
-/// catalog, or the benchmark's translation failure.
-pub fn run_single(
-    cfg: &SystemConfig,
-    code: &str,
-    input: InputSize,
-    mode: Mode,
-) -> Result<RunReport, PipelineError> {
-    Runner::new()
-        .progress(false)
-        .run_one(cfg, code, input, mode)
-}
+use ds_core::{Comparison, InputSize, PipelineError};
 
 /// Unwraps a pipeline result in a binary's `main`, exiting with a
 /// message instead of a panic backtrace.
@@ -109,18 +61,38 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(n.min(width))
 }
 
-/// Parses a binary's `small` / `big` / `both` CLI argument.
-pub fn parse_sizes(args: &[String]) -> Vec<InputSize> {
-    match args.first().map(String::as_str) {
-        Some("small") => vec![InputSize::Small],
-        Some("big") => vec![InputSize::Big],
-        _ => vec![InputSize::Small, InputSize::Big],
+/// Parses a binary's optional `small` / `big` / `both` CLI argument;
+/// no argument means both. Any other argument, or a second one, is an
+/// error naming it.
+fn parse_sizes(args: &[String]) -> Result<Vec<InputSize>, String> {
+    match args {
+        [] => Ok(vec![InputSize::Small, InputSize::Big]),
+        [size] => match size.as_str() {
+            "small" => Ok(vec![InputSize::Small]),
+            "big" => Ok(vec![InputSize::Big]),
+            "both" => Ok(vec![InputSize::Small, InputSize::Big]),
+            other => Err(format!("unknown input size {other:?}")),
+        },
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
     }
+}
+
+/// Reads the input sizes from a binary's command line with
+/// [`parse_sizes`]; a bad argument prints the usage on stderr and
+/// exits 2.
+pub fn sizes_from_args(bin: &str) -> Vec<InputSize> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_sizes(&args).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\n\nusage: {bin} [small|big|both]");
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_core::{Mode, SystemConfig};
+    use ds_runner::Runner;
 
     #[test]
     fn bar_scales_and_clamps() {
@@ -132,34 +104,33 @@ mod tests {
 
     #[test]
     fn parse_sizes_variants() {
-        assert_eq!(parse_sizes(&["small".into()]), vec![InputSize::Small]);
-        assert_eq!(parse_sizes(&["big".into()]), vec![InputSize::Big]);
-        assert_eq!(parse_sizes(&[]).len(), 2);
-    }
-
-    #[test]
-    fn single_run_smoke() {
-        let cfg = SystemConfig::paper_default();
-        let r = run_single(&cfg, "VA", InputSize::Small, Mode::Ccsm).unwrap();
-        assert!(r.total_cycles.as_u64() > 0);
-        assert!(r.gpu_l2.accesses() > 0);
-    }
-
-    #[test]
-    fn single_run_unknown_code_is_an_error() {
-        let cfg = SystemConfig::paper_default();
-        let err = run_single(&cfg, "NOPE", InputSize::Small, Mode::Ccsm).unwrap_err();
-        assert!(matches!(err, PipelineError::UnknownBenchmark(_)), "{err}");
+        let sizes =
+            |args: &[&str]| parse_sizes(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let both = vec![InputSize::Small, InputSize::Big];
+        assert_eq!(sizes(&["small"]), Ok(vec![InputSize::Small]));
+        assert_eq!(sizes(&["big"]), Ok(vec![InputSize::Big]));
+        assert_eq!(sizes(&["both"]), Ok(both.clone()));
+        assert_eq!(sizes(&[]), Ok(both));
+        for bad in [
+            &["--help"][..],
+            &["smal"],
+            &["small", "big"],
+            &["both", "VA"],
+        ] {
+            assert!(sizes(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
     fn geomean_speedup_ignores_flat_benchmarks() {
         // Built synthetically from two sweeps of one benchmark.
         let cfg = SystemConfig::paper_default();
-        let cs = run_sweep_with(&cfg, InputSize::Small, |b| {
-            ds_core::Scenario::code(b) == "VA"
-        })
-        .unwrap();
+        let cs = Runner::new()
+            .progress(false)
+            .sweep(&cfg, InputSize::Small, Mode::DirectStore, |b| {
+                ds_core::Scenario::code(b) == "VA"
+            })
+            .unwrap();
         assert_eq!(cs.len(), 1);
         let g = geomean_nonzero_speedup_percent(&cs);
         assert!(g > 0.0, "VA small must show a gain, got {g}");

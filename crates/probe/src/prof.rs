@@ -64,8 +64,8 @@ pub enum HostPhase {
     TaxHistograms,
     /// Observability tax: pulse window sampling (snapshot + close +
     /// anomaly detection; the epoch series is a derived view over the
-    /// same windows). The serialized name stays `tax_epochs` so older
-    /// committed baselines keep parsing.
+    /// same windows). The serialized name stays `tax_epochs` so stored
+    /// host profiles keep parsing.
     TaxEpochs,
 }
 

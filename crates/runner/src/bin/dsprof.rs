@@ -1,33 +1,30 @@
-//! `dsprof` — host-time self-profiling and perf-trend tracking.
+//! `dsprof` — host-time self-profiling.
 //!
 //! Runs benchmarks with the `ds_probe::prof` scoped profiler enabled
 //! and reports where *host* time goes: the simulator's hot phases
 //! (event queue, cache lookups, protocol transitions, the push path,
 //! NoC and DRAM ticks) plus the observability tax — the cost of the
-//! StageTracker, LineLens, latency histograms and epoch recorder,
-//! each in its own bucket. Host time never feeds back into simulated
-//! timing; `--check` proves it by asserting bit-identical simulated
-//! cycles with the profiler on, off, and at every probe level.
+//! stage fold, the LineLens fold, the latency histograms and pulse
+//! window sampling, each in its own bucket. Host time never feeds
+//! back into simulated timing; `--check` proves it by asserting
+//! bit-identical simulated cycles with the profiler on, off, and at
+//! every probe level.
 //!
 //! ```text
 //! dsprof [--bench CODE] [--input small|big] [--mode ccsm|ds|both]
-//!        [--probe-level full|stages|minimal] [--format table|folded]
+//!        [--probe-level full|stages|minimal] [--window N]
+//!        [--format table|folded]
 //! dsprof --check [--bench CODE]
-//! dsprof trend [--dir DIR] [--last N]
 //! ```
 
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, Scenario, SystemConfig};
 use ds_probe::prof::{self, HostPhase, HostProfile, ProbeLevel};
-use ds_runner::json::{self, Json};
 
 const USAGE: &str = "usage: dsprof [options]
        dsprof --check [--bench CODE]
-       dsprof trend [--dir DIR] [--last N]
 
 Profiles the simulator's own host time over the Table II catalog and
-prints a per-phase breakdown including the observability tax. The
-trend subcommand diffs every committed BENCH_<date>.json into a
-per-benchmark time series.
+prints a per-phase breakdown including the observability tax.
 
 options:
   --bench CODE       profile only this benchmark (default: catalog)
@@ -48,10 +45,6 @@ options:
                      tax buckets, and simulated cycles are
                      bit-identical with the profiler on, off, and at
                      every probe level; exits non-zero on violation
-  --dir DIR          (trend) directory holding BENCH_*.json files
-                     (default: .)
-  --last N           (trend) show only the N newest baselines
-                     (default: 8)
   --help             show this help";
 
 struct Options {
@@ -62,9 +55,6 @@ struct Options {
     window: Option<u64>,
     folded: bool,
     check: bool,
-    trend: bool,
-    dir: String,
-    last: usize,
 }
 
 fn usage_error(message: &str) -> ! {
@@ -81,15 +71,8 @@ fn parse_options(args: &[String]) -> Options {
         window: None,
         folded: false,
         check: false,
-        trend: false,
-        dir: ".".to_string(),
-        last: 8,
     };
-    let mut it = args.iter().peekable();
-    if it.peek().map(|s| s.as_str()) == Some("trend") {
-        it.next();
-        opts.trend = true;
-    }
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--bench" => {
@@ -146,21 +129,6 @@ fn parse_options(args: &[String]) -> Options {
                 };
             }
             "--check" => opts.check = true,
-            "--dir" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--dir needs a value"));
-                opts.dir = v.clone();
-            }
-            "--last" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--last needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.last = n,
-                    _ => usage_error(&format!("--last needs a positive integer, got {v:?}")),
-                }
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -357,185 +325,9 @@ fn check_one(bench: &dyn Scenario, input: InputSize, mode: Mode) -> Vec<String> 
     errs
 }
 
-/// One baseline file's slice of the trend view.
-struct TrendPoint {
-    date: String,
-    fingerprint: String,
-    geomean: f64,
-    /// `(code, input) -> direct-store cycles`.
-    entries: Vec<(String, String, u64)>,
-    /// Summed host wall nanos across entries, when the baseline
-    /// carries per-phase breakdowns (schema version >= 2).
-    host_wall: Option<u64>,
-}
-
-fn parse_trend_point(text: &str, fallback_date: &str) -> Result<TrendPoint, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    if doc.get("schema").and_then(Json::as_str) != Some("ds-bench-baseline") {
-        return Err("not a ds-bench-baseline document".into());
-    }
-    let mut entries = Vec::new();
-    let mut host_wall = None;
-    for entry in doc
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .ok_or("missing benchmarks array")?
-    {
-        let field = |key: &str| {
-            entry
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("benchmark entry missing {key}"))
-                .map(str::to_string)
-        };
-        let cycles = entry
-            .get("ds")
-            .and_then(|m| m.get("total_cycles"))
-            .and_then(Json::as_u64)
-            .ok_or("benchmark entry missing ds.total_cycles")?;
-        for mode in ["ccsm", "ds"] {
-            if let Some(wall) = entry
-                .get(mode)
-                .and_then(|m| m.get("host"))
-                .and_then(|h| h.get("wall_nanos"))
-                .and_then(Json::as_u64)
-            {
-                host_wall = Some(host_wall.unwrap_or(0) + wall);
-            }
-        }
-        entries.push((field("code")?, field("input")?, cycles));
-    }
-    Ok(TrendPoint {
-        date: doc
-            .get("date")
-            .and_then(Json::as_str)
-            .unwrap_or(fallback_date)
-            .to_string(),
-        fingerprint: doc
-            .get("config_fingerprint")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        geomean: doc
-            .get("geomean_speedup")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        entries,
-        host_wall,
-    })
-}
-
-/// Diffs every `BENCH_*.json` under `dir` into a per-benchmark
-/// time series. Returns the rendered report, or an error when no
-/// baseline parses.
-fn render_trend(dir: &str, last: usize) -> Result<String, String> {
-    let mut files: Vec<String> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {dir}: {e}"))?
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    files.sort(); // BENCH_YYYY-MM-DD.json sorts chronologically
-    if files.is_empty() {
-        return Err(format!("no BENCH_*.json files under {dir}"));
-    }
-    let skipped = files.len().saturating_sub(last);
-    let mut points = Vec::new();
-    for name in files.iter().skip(skipped) {
-        let path = format!("{dir}/{name}");
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let fallback = name
-            .trim_start_matches("BENCH_")
-            .trim_end_matches(".json")
-            .to_string();
-        points.push(parse_trend_point(&text, &fallback).map_err(|e| format!("{path}: {e}"))?);
-    }
-
-    let mut out = format!(
-        "dsprof trend: {} baseline{} under {dir}{}\n\n",
-        points.len(),
-        if points.len() == 1 { "" } else { "s" },
-        if skipped > 0 {
-            format!(" ({skipped} older skipped; raise --last to include)")
-        } else {
-            String::new()
-        }
-    );
-    out.push_str(&format!(
-        "{:12} {:18} {:>8} {:>8} {:>12}\n",
-        "date", "fingerprint", "geomean", "benches", "host ms"
-    ));
-    for p in &points {
-        out.push_str(&format!(
-            "{:12} {:18} {:>8.3} {:>8} {:>12}\n",
-            p.date,
-            p.fingerprint,
-            p.geomean,
-            p.entries.len(),
-            p.host_wall
-                .map_or("-".to_string(), |w| format!("{:.1}", ms(w))),
-        ));
-    }
-
-    // Per-benchmark direct-store cycles, one column per baseline,
-    // with the relative change against the previous column.
-    out.push_str(&format!("\n{:6} {:6}", "bench", "input"));
-    for p in &points {
-        out.push_str(&format!(" {:>21}", p.date));
-    }
-    out.push('\n');
-    let mut keys: Vec<(String, String)> = points
-        .iter()
-        .flat_map(|p| p.entries.iter().map(|(c, i, _)| (c.clone(), i.clone())))
-        .collect();
-    keys.sort();
-    keys.dedup();
-    for (code, input) in &keys {
-        out.push_str(&format!("{code:6} {input:6}"));
-        let mut prev: Option<u64> = None;
-        for p in &points {
-            match p
-                .entries
-                .iter()
-                .find(|(c, i, _)| c == code && i == input)
-                .map(|&(_, _, cycles)| cycles)
-            {
-                Some(cycles) => {
-                    let delta = match prev {
-                        Some(old) if old > 0 => {
-                            format!("{:+.2}%", 100.0 * (cycles as f64 - old as f64) / old as f64)
-                        }
-                        _ => "-".to_string(),
-                    };
-                    out.push_str(&format!(" {cycles:>12} {delta:>8}"));
-                    prev = Some(cycles);
-                }
-                None => {
-                    out.push_str(&format!(" {:>12} {:>8}", "-", "-"));
-                    prev = None;
-                }
-            }
-        }
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_options(&args);
-
-    if opts.trend {
-        match render_trend(&opts.dir, opts.last) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("dsprof: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
 
     if opts.check {
         let mut failed = false;

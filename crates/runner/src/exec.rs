@@ -621,22 +621,6 @@ impl Runner {
         }
     }
 
-    /// Runs one benchmark under one mode and configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runner::run_tasks`].
-    pub fn run_one(
-        &mut self,
-        cfg: &SystemConfig,
-        code: &str,
-        input: InputSize,
-        mode: Mode,
-    ) -> Result<RunReport, PipelineError> {
-        let reports = self.run_tasks(&[Task::new(cfg, code, input, mode)])?;
-        Ok(reports.into_iter().next().expect("one task, one report"))
-    }
-
     /// Runs the CCSM-vs-`ds_mode` comparison sweep over the benchmarks
     /// `filter` selects, in catalog order.
     ///
@@ -690,7 +674,7 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let mut runner = Runner::new().jobs(2).progress(false);
         let err = runner
-            .run_one(&cfg, "NOPE", InputSize::Small, Mode::Ccsm)
+            .run_tasks(&[Task::new(&cfg, "NOPE", InputSize::Small, Mode::Ccsm)])
             .unwrap_err();
         assert!(
             matches!(err, PipelineError::UnknownBenchmark(ref c) if c == "NOPE"),
@@ -719,13 +703,10 @@ mod tests {
     fn memo_spans_calls() {
         let cfg = SystemConfig::paper_default();
         let mut runner = Runner::new().jobs(1).progress(false);
-        runner
-            .run_one(&cfg, "VA", InputSize::Small, Mode::Ccsm)
-            .unwrap();
+        let task = Task::new(&cfg, "VA", InputSize::Small, Mode::Ccsm);
+        runner.run_tasks(std::slice::from_ref(&task)).unwrap();
         let after_first = runner.simulations_run();
-        runner
-            .run_one(&cfg, "VA", InputSize::Small, Mode::Ccsm)
-            .unwrap();
+        runner.run_tasks(&[task]).unwrap();
         assert_eq!(runner.simulations_run(), after_first);
     }
 

@@ -58,9 +58,9 @@ pub use exec::{default_jobs, panic_message, postmortem_path, Runner, TaskOutcome
 pub use fingerprint::{config_fingerprint, fnv1a};
 pub use job::{dedup_tasks, fault_fingerprint, sweep_tasks, Task, TaskKey};
 pub use report::{
-    comparison_csv_row, comparison_to_json, host_from_json, host_to_json, report_csv_row,
-    report_from_json, report_to_json, scope_from_json, scope_to_json, span_from_json, span_to_json,
-    stages_from_json, stages_to_json, COMPARISON_CSV_HEADER, REPORT_CSV_HEADER,
+    comparison_csv_row, comparison_to_json, report_csv_row, report_from_json, report_to_json,
+    scope_from_json, scope_to_json, span_from_json, span_to_json, COMPARISON_CSV_HEADER,
+    REPORT_CSV_HEADER,
 };
 pub use shared::{Provenance, SharedStore, StoreStats};
 pub use store::ResultStore;

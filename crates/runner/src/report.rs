@@ -152,9 +152,8 @@ fn latency_from_json(json: &Json) -> Result<LatencyReport, String> {
 
 /// Serializes a stage breakdown: the per-stage cycle totals keyed by
 /// stage name (in [`Stage::ALL`] order) plus the per-path counts and
-/// end-to-end cycle sums. Public so the perf-baseline harness can
-/// embed the same encoding in `BENCH_*.json`.
-pub fn stages_to_json(b: &StageBreakdown) -> Json {
+/// end-to-end cycle sums.
+fn stages_to_json(b: &StageBreakdown) -> Json {
     Json::Obj(vec![
         ("loads".into(), Json::Int(b.loads)),
         ("load_cycles".into(), Json::Int(b.load_cycles)),
@@ -177,7 +176,7 @@ pub fn stages_to_json(b: &StageBreakdown) -> Json {
 /// # Errors
 ///
 /// Returns a message naming the first missing or mistyped field.
-pub fn stages_from_json(json: &Json) -> Result<StageBreakdown, String> {
+fn stages_from_json(json: &Json) -> Result<StageBreakdown, String> {
     let cycles_obj = sub(json, "cycles")?;
     let mut cycles = [0u64; Stage::COUNT];
     for s in Stage::ALL {
@@ -195,10 +194,8 @@ pub fn stages_from_json(json: &Json) -> Result<StageBreakdown, String> {
 
 /// Serializes a host-time profile: wall-clock nanoseconds plus one
 /// `{phase, self_nanos, count}` entry per [`HostPhase`] (all of them,
-/// in [`HostPhase::ALL`] order, so the encoding is lossless). Public
-/// so the perf-baseline harness embeds the same encoding in
-/// `BENCH_*.json`.
-pub fn host_to_json(h: &HostProfile) -> Json {
+/// in [`HostPhase::ALL`] order, so the encoding is lossless).
+fn host_to_json(h: &HostProfile) -> Json {
     Json::Obj(vec![
         ("wall_nanos".into(), Json::Int(h.wall_nanos)),
         (
@@ -226,7 +223,7 @@ pub fn host_to_json(h: &HostProfile) -> Json {
 /// # Errors
 ///
 /// Returns a message naming the first missing or mistyped field.
-pub fn host_from_json(json: &Json) -> Result<HostProfile, String> {
+fn host_from_json(json: &Json) -> Result<HostProfile, String> {
     let mut h = HostProfile {
         wall_nanos: u64_field(json, "wall_nanos")?,
         ..HostProfile::default()

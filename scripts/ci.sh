@@ -16,6 +16,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> ds-gauge package (its own workspace: fmt, clippy, tests)"
+cargo fmt --manifest-path ds-gauge/Cargo.toml --check
+cargo clippy --offline --manifest-path ds-gauge/Cargo.toml --all-targets -- -D warnings
+cargo test -q --offline --manifest-path ds-gauge/Cargo.toml
+
 echo "==> dstrace smoke run (both modes, validated output)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -52,14 +57,6 @@ echo "==> dsprof invariant audit (profiler never perturbs simulated cycles)"
 # to <= wall, and shed levels must report exactly-zero tax buckets.
 cargo run --release -q -p ds-runner --bin dsprof -- --check --bench VA
 
-echo "==> dsprof trend smoke (committed baselines parse and render)"
-cargo run --release -q -p ds-runner --bin dsprof -- trend > "$smoke_dir/trend.txt"
-test -s "$smoke_dir/trend.txt"
-grep -q "geomean" "$smoke_dir/trend.txt" || {
-  echo "ci.sh: dsprof trend output is missing the summary table" >&2
-  exit 1
-}
-
 echo "==> dschaos invariant audit (zero-fault identity + no silent push loss)"
 cargo run --release -q -p ds-runner --bin dschaos -- --check --bench VA --quiet
 
@@ -88,35 +85,37 @@ cargo run --release -q -p ds-runner --bin dschaos -- \
   > "$smoke_dir/va-chaos.csv"
 test -s "$smoke_dir/va-chaos.csv"
 
-echo "==> bench.sh schema smoke"
-scripts/bench.sh --smoke --out "$smoke_dir/bench-smoke.json"
-
-echo "==> bench_diff.sh regression gate (smoke baseline vs itself)"
-scripts/bench_diff.sh "$smoke_dir/bench-smoke.json" "$smoke_dir/bench-smoke.json"
-
 echo "==> exact-output gate (committed results and ds-gauge pins, byte for byte)"
 # The simulator is deterministic, so its committed outputs are pinned
-# exactly, not within a tolerance. A deliberate model change
-# regenerates them (commands in results/README.md; ds-gauge --pin).
-cargo run --release -q -p ds-bench --bin export_csv -- small \
-  > "$smoke_dir/evaluation_small.csv" 2> "$smoke_dir/exact.log"
-cmp "$smoke_dir/evaluation_small.csv" results/evaluation_small.csv
-cargo run --release -q -p ds-bench --bin fig4_speedup -- both \
-  > "$smoke_dir/fig4_speedup.txt" 2>> "$smoke_dir/exact.log"
-cmp "$smoke_dir/fig4_speedup.txt" results/fig4_speedup.txt
-cargo run --release --offline -q --manifest-path ds-gauge/Cargo.toml -- --pin \
-  > "$smoke_dir/pinned.csv" 2>> "$smoke_dir/exact.log"
-cmp "$smoke_dir/pinned.csv" ds-gauge/pinned.csv
-
-echo "==> perf regression gate (small catalog vs committed BENCH_2026-08-08.json)"
-# The simulator is deterministic, so a >5% cycle delta against the
-# committed reference baseline is a real behavioral change, not noise.
-# Big-input entries are absent from the fresh measurement and reported
-# as "dropped" without failing; refresh the committed baseline with
-# scripts/bench.sh when a perf change is intentional.
-cargo run --release -q -p ds-bench --bin perf_baseline -- \
-  --input small --date "$(date +%F)" --out "$smoke_dir/bench-fresh-small.json"
-scripts/bench_diff.sh BENCH_2026-08-08.json "$smoke_dir/bench-fresh-small.json"
+# exactly, not within a tolerance. Each line below names a committed
+# file and the command that regenerates it after a deliberate model
+# change. fig5_missrate.txt is not gated: it needs the big catalog.
+while read -r file cmd; do
+  read -r -a argv <<< "$cmd"
+  "${argv[@]}" < /dev/null > "$smoke_dir/exact.out" 2>> "$smoke_dir/exact.log"
+  cmp -s "$smoke_dir/exact.out" "$file" || {
+    echo "ci.sh: $file differs from a fresh run; regenerate it with:" >&2
+    echo "  $cmd > $file" >&2
+    exit 1
+  }
+done <<'LIST'
+results/evaluation_small.csv cargo run --release -q -p ds-bench --bin export_csv -- small
+results/fig4_speedup.txt cargo run --release -q -p ds-bench --bin fig4_speedup -- both
+results/table1.txt cargo run --release -q -p ds-bench --bin table1
+results/table2.txt cargo run --release -q -p ds-bench --bin table2
+results/fig1_dataflow.txt cargo run --release -q -p ds-bench --bin fig1_dataflow
+results/fig2_topology.txt cargo run --release -q -p ds-bench --bin fig2_topology
+results/fig3_protocol.txt cargo run --release -q -p ds-bench --bin fig3_protocol
+results/ablate_network.txt cargo run --release -q -p ds-bench --bin ablate_network
+results/ablate_l2size.txt cargo run --release -q -p ds-bench --bin ablate_l2size -- MM small
+results/ablate_prefetch.txt cargo run --release -q -p ds-bench --bin ablate_prefetch
+results/ablate_storebuf.txt cargo run --release -q -p ds-bench --bin ablate_storebuf -- VA
+results/ablate_replacement.txt cargo run --release -q -p ds-bench --bin ablate_replacement -- small
+results/ablate_policy.txt cargo run --release -q -p ds-bench --bin ablate_policy -- MM VA
+results/ablate_directory.txt cargo run --release -q -p ds-bench --bin ablate_directory
+results/ablate_dram.txt cargo run --release -q -p ds-bench --bin ablate_dram
+ds-gauge/pinned.csv cargo run --release --offline -q --manifest-path ds-gauge/Cargo.toml -- --pin
+LIST
 
 echo "==> dsserve self-audit (admission, coalescing, store reconciliation)"
 cargo run --release -q -p ds-serve --bin dsserve -- --check
