@@ -1,6 +1,6 @@
 //! Microbenches for the simulator's four host-time hot paths.
 //!
-//! `dsprof` attributes ~60% of host wall time to the event queue,
+//! `ds prof` attributes ~60% of host wall time to the event queue,
 //! cache lookups, protocol transitions, and the direct-store push
 //! path (see EXPERIMENTS.md, "Host-time profiling"). These benches
 //! isolate each path at the unit level so a regression shows up here

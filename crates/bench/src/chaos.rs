@@ -1,4 +1,4 @@
-//! `dschaos` — deterministic fault injection for the memory system.
+//! `ds chaos` — deterministic fault injection for the memory system.
 //!
 //! Sweeps message-loss rates over a NoC (or DRAM stall rates over the
 //! banks) per benchmark and reports how the direct-store protocol
@@ -8,10 +8,10 @@
 //! in the table, not a dead harness.
 //!
 //! ```text
-//! dschaos [--bench VA,MM,...] [--input small|big] [--mode ds|ds-only]
-//!         [--net direct|coh|gpu|dram] [--kind drop|dup|delay]
-//!         [--rates N,N,...] [--seed S] [--jobs N] [--timeout SECS]
-//!         [--format text|csv] [--quiet] [--check]
+//! ds chaos [--bench VA,MM,...] [--input small|big] [--mode ds|ds-only]
+//!          [--net direct|coh|gpu|dram] [--kind drop|dup|delay]
+//!          [--rates N,N,...] [--seed S] [--jobs N] [--timeout SECS]
+//!          [--format text|csv] [--quiet] [--check]
 //! ```
 //!
 //! `--check` runs the invariant audit instead of a sweep:
@@ -24,16 +24,18 @@
 //!    `pushes_attempted == direct_pushes + pushes_degraded`.
 
 use ds_core::Scenario as _;
-use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
+use ds_core::{FaultKind, FaultNet, FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
 use ds_probe::NullTracer;
 use ds_runner::{postmortem_path, Runner, Task, TaskOutcome};
 use ds_workloads::catalog;
 use std::path::Path;
 
-/// Where sweep postmortems land, mirroring `dsrun --keep-going`.
+use crate::cli::{fail, unknown, Args, Cli, Parsed};
+
+/// Where sweep postmortems land, mirroring `ds run --keep-going`.
 const POSTMORTEM_DIR: &str = "results/postmortem";
 
-const USAGE: &str = "usage: dschaos [options]
+pub const USAGE: &str = "usage: ds chaos [options]
 
 Sweeps deterministic fault injection over the memory system and
 reports direct-store retry/degradation behavior per benchmark.
@@ -57,42 +59,6 @@ options:
   --help                   show this help";
 
 #[derive(Clone, Copy, PartialEq)]
-enum FaultNet {
-    Direct,
-    Coh,
-    Gpu,
-    Dram,
-}
-
-impl FaultNet {
-    fn name(self) -> &'static str {
-        match self {
-            FaultNet::Direct => "direct",
-            FaultNet::Coh => "coh",
-            FaultNet::Gpu => "gpu",
-            FaultNet::Dram => "dram",
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum FaultKind {
-    Drop,
-    Dup,
-    Delay,
-}
-
-impl FaultKind {
-    fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Dup => "dup",
-            FaultKind::Delay => "delay",
-        }
-    }
-}
-
-#[derive(PartialEq)]
 enum Format {
     Text,
     Csv,
@@ -113,12 +79,7 @@ struct Options {
     check: bool,
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("dschaos: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
+fn parse(mut args: Args) -> Parsed<Options> {
     let mut opts = Options {
         codes: None,
         input: InputSize::Small,
@@ -133,148 +94,41 @@ fn parse_options(args: &[String]) -> Options {
         quiet: false,
         check: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                opts.codes = Some(v.split(',').map(str::to_string).collect());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode needs a value"));
-                opts.ds_mode = match v.as_str() {
-                    "ds" => Mode::DirectStore,
-                    "ds-only" => Mode::DirectStoreOnly,
-                    other => usage_error(&format!("unknown mode {other:?}")),
-                };
-            }
-            "--net" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--net needs a value"));
-                opts.net = match v.as_str() {
-                    "direct" => FaultNet::Direct,
-                    "coh" => FaultNet::Coh,
-                    "gpu" => FaultNet::Gpu,
-                    "dram" => FaultNet::Dram,
-                    other => usage_error(&format!("unknown net {other:?}")),
-                };
-            }
-            "--kind" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--kind needs a value"));
-                opts.kind = match v.as_str() {
-                    "drop" => FaultKind::Drop,
-                    "dup" => FaultKind::Dup,
-                    "delay" => FaultKind::Delay,
-                    other => usage_error(&format!("unknown fault kind {other:?}")),
-                };
-            }
+            "--bench" => opts.codes = Some(args.codes()?),
+            "--input" => opts.input = args.input()?,
+            "--mode" => opts.ds_mode = args.sweep_mode()?,
+            "--net" => opts.net = args.fault_net()?,
+            "--kind" => opts.kind = args.fault_kind()?,
             "--rates" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--rates needs a value"));
+                let v = args.value("--rates")?;
                 opts.rates = v
                     .split(',')
                     .map(|r| {
-                        r.parse::<u16>().unwrap_or_else(|_| {
-                            usage_error(&format!("--rates needs integers in 0..=65535, got {r:?}"))
+                        r.parse::<u16>().map_err(|_| {
+                            Cli::Usage(format!("--rates needs integers in 0..=65535, got {r:?}"))
                         })
                     })
-                    .collect();
+                    .collect::<Parsed<_>>()?;
             }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--seed needs a value"));
-                opts.seed = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--seed needs an integer, got {v:?}"))
-                });
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.jobs = Some(n),
-                    _ => usage_error(&format!("--jobs needs a positive integer, got {v:?}")),
-                }
-            }
-            "--timeout" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--timeout needs a value"));
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => opts.timeout = Some(n),
-                    _ => usage_error(&format!("--timeout needs positive seconds, got {v:?}")),
-                }
-            }
+            "--seed" => opts.seed = args.parsed("--seed", "an integer")?,
+            "--jobs" => opts.jobs = Some(args.positive("--jobs")?),
+            "--timeout" => opts.timeout = Some(args.positive("--timeout")?),
             "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "csv" => Format::Csv,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
+                opts.format = args.choice(
+                    "--format",
+                    "format",
+                    &[("text", Format::Text), ("csv", Format::Csv)],
+                )?;
             }
             "--quiet" => opts.quiet = true,
             "--check" => opts.check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
         }
     }
-    opts
-}
-
-/// Builds the fault plan for one sweep point.
-fn plan_for(opts: &Options, rate: u16) -> FaultPlan {
-    let mut plan = FaultPlan {
-        seed: opts.seed,
-        ..FaultPlan::default()
-    };
-    match opts.net {
-        FaultNet::Dram => {
-            plan.dram_stall_rate = rate;
-            plan.dram_stall_cycles = 500;
-        }
-        net => {
-            let rates = match net {
-                FaultNet::Direct => &mut plan.direct_net,
-                FaultNet::Coh => &mut plan.coh_net,
-                FaultNet::Gpu => &mut plan.gpu_net,
-                FaultNet::Dram => unreachable!(),
-            };
-            match opts.kind {
-                FaultKind::Drop => rates.drop = rate,
-                FaultKind::Dup => rates.dup = rate,
-                FaultKind::Delay => {
-                    rates.delay = rate;
-                    rates.delay_cycles = 400;
-                }
-            }
-        }
-    }
-    plan
+    Ok(opts)
 }
 
 fn selected_codes(opts: &Options) -> Vec<String> {
@@ -287,8 +141,7 @@ fn selected_codes(opts: &Options) -> Vec<String> {
         Some(codes) => {
             for c in codes {
                 if !all.iter().any(|a| a == c) {
-                    eprintln!("dschaos: unknown benchmark code {c:?} (see Table II)");
-                    std::process::exit(1);
+                    fail(&format!("unknown benchmark code {c:?} (see Table II)"));
                 }
             }
             codes.clone()
@@ -318,9 +171,8 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
     let mut tasks = Vec::new();
     for code in &codes {
         for &rate in &opts.rates {
-            tasks.push(
-                Task::new(cfg, code, opts.input, opts.ds_mode).with_faults(plan_for(opts, rate)),
-            );
+            let plan = FaultPlan::single(opts.seed, opts.net, opts.kind, rate);
+            tasks.push(Task::new(cfg, code, opts.input, opts.ds_mode).with_faults(plan));
         }
     }
 
@@ -355,13 +207,9 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
         );
     }
     let mut broken = 0usize;
-    for (task, outcome) in tasks.iter().zip(&outcomes) {
-        let rate = match opts.net {
-            FaultNet::Dram => task.faults.dram_stall_rate,
-            FaultNet::Direct => rate_of(&task.faults.direct_net, opts.kind),
-            FaultNet::Coh => rate_of(&task.faults.coh_net, opts.kind),
-            FaultNet::Gpu => rate_of(&task.faults.gpu_net, opts.kind),
-        };
+    // Tasks are planned code-major, rate-minor.
+    let rates = opts.rates.iter().cycle();
+    for ((task, outcome), rate) in tasks.iter().zip(&outcomes).zip(rates) {
         match opts.format {
             Format::Csv => {
                 let (cycles, counters) = outcome_cells(outcome);
@@ -398,7 +246,7 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
                     );
                     if matches!(outcome, TaskOutcome::Degraded(_)) {
                         eprintln!(
-                            "dschaos: {} rate {}: degraded (postmortem: {})",
+                            "ds chaos: {} rate {}: degraded (postmortem: {})",
                             task.code,
                             rate,
                             postmortem_path(Path::new(POSTMORTEM_DIR), task).display()
@@ -421,7 +269,7 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
                         outcome.tag()
                     );
                     eprintln!(
-                        "dschaos: {} rate {}: {} (postmortem: {})",
+                        "ds chaos: {} rate {}: {} (postmortem: {})",
                         task.code,
                         rate,
                         detail,
@@ -435,18 +283,10 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
         }
     }
     if broken > 0 {
-        eprintln!("dschaos: {broken} run(s) produced no report");
+        eprintln!("ds chaos: {broken} run(s) produced no report");
         1
     } else {
         0
-    }
-}
-
-fn rate_of(rates: &ds_core::NetFaultRates, kind: FaultKind) -> u16 {
-    match kind {
-        FaultKind::Drop => rates.drop,
-        FaultKind::Dup => rates.dup,
-        FaultKind::Delay => rates.delay,
     }
 }
 
@@ -476,12 +316,12 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
             match (&plain, &faulted) {
                 (Ok(a), Ok(b)) if format!("{a:?}") == format!("{b:?}") => {}
                 (Ok(_), Ok(_)) => {
-                    eprintln!("dschaos: FAIL {code} {mode}: inactive plan changed the report");
+                    eprintln!("ds chaos: FAIL {code} {mode}: inactive plan changed the report");
                     failures += 1;
                 }
                 (a, b) => {
                     eprintln!(
-                        "dschaos: FAIL {code} {mode}: run errored (plain ok={}, faulted ok={})",
+                        "ds chaos: FAIL {code} {mode}: run errored (plain ok={}, faulted ok={})",
                         a.is_ok(),
                         b.is_ok()
                     );
@@ -496,12 +336,7 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
         // they imply) on every benchmark while keeping the run
         // completable — drops can also sever CPU demand-load replies,
         // which only the watchdog can resolve (see the sweep mode).
-        let mut plan = FaultPlan {
-            seed: opts.seed,
-            ..FaultPlan::default()
-        };
-        plan.direct_net.delay = 8192;
-        plan.direct_net.delay_cycles = 400;
+        let mut plan = FaultPlan::single(opts.seed, FaultNet::Direct, FaultKind::Delay, 8192);
         plan.direct_net.dup = 1024;
         match pipeline
             .run(&bench, opts.input, opts.ds_mode, NullTracer, &plan, None)
@@ -510,14 +345,14 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
             Ok(r) => {
                 if r.pushes_attempted != r.direct_pushes + r.pushes_degraded {
                     eprintln!(
-                        "dschaos: FAIL {code}: silent push loss \
+                        "ds chaos: FAIL {code}: silent push loss \
                          (attempted {} != acked {} + degraded {})",
                         r.pushes_attempted, r.direct_pushes, r.pushes_degraded
                     );
                     failures += 1;
                 } else if !opts.quiet {
                     eprintln!(
-                        "dschaos: ok {code}: attempted {} = acked {} + degraded {} \
+                        "ds chaos: ok {code}: attempted {} = acked {} + degraded {} \
                          ({} retries, {} faults)",
                         r.pushes_attempted,
                         r.direct_pushes,
@@ -528,14 +363,14 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
                 }
             }
             Err(e) => {
-                eprintln!("dschaos: FAIL {code}: faulted run errored: {e}");
+                eprintln!("ds chaos: FAIL {code}: faulted run errored: {e}");
                 failures += 1;
             }
         }
     }
 
     if failures > 0 {
-        eprintln!("dschaos: check FAILED ({failures} violation(s))");
+        eprintln!("ds chaos: check FAILED ({failures} violation(s))");
         1
     } else {
         println!(
@@ -546,9 +381,8 @@ fn run_check(opts: &Options, cfg: &SystemConfig) -> i32 {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(args: Args) -> Parsed<()> {
+    let opts = parse(args)?;
     let cfg = SystemConfig::paper_default();
     let code = if opts.check {
         run_check(&opts, &cfg)

@@ -1,4 +1,4 @@
-//! `dslens` — per-cacheline coherence forensics and push efficacy.
+//! `ds lens` — per-cacheline coherence forensics and push efficacy.
 //!
 //! Runs one benchmark under both CCSM and direct store with the line
 //! lens attached and reports what became of every pushed line: the
@@ -8,15 +8,18 @@
 //! heatmaps over L2 slices, DRAM banks and NoC links.
 //!
 //! ```text
-//! dslens --bench VA [--input small|big] [--top K]
-//!        [--format text|csv] [--check] [--out FILE]
-//! dslens --check            # sweep every Table II benchmark
+//! ds lens --bench VA [--input small|big] [--top K]
+//!         [--format text|csv] [--check] [--out FILE]
+//! ds lens --check            # sweep every Table II benchmark
 //! ```
 
+use ds_bench::pct;
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, Scenario, SystemConfig};
 use ds_probe::{LensReport, LineHistory, LineLens, NetId, NullTracer, SliceTraffic};
 
-const USAGE: &str = "usage: dslens [--bench CODE] [options]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds lens [--bench CODE] [options]
 
 Runs one benchmark under both CCSM and direct store and prints
 per-cacheline push efficacy, sharing forensics and spatial traffic
@@ -38,117 +41,23 @@ options:
 /// Intensity ramp for ASCII heatmaps, dimmest to hottest.
 const RAMP: &[u8] = b" .:-=+*#%@";
 
-struct Options {
-    code: Option<String>,
-    input: InputSize,
-    top: usize,
-    csv: bool,
-    check: bool,
-    out: Option<String>,
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("dslens: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        code: None,
-        input: InputSize::Small,
-        top: 5,
-        csv: false,
-        check: false,
-        out: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                opts.code = Some(v.clone());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--top" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--top needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) => opts.top = n,
-                    _ => usage_error(&format!("--top needs a non-negative integer, got {v:?}")),
-                }
-            }
-            "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.csv = match v.as_str() {
-                    "text" => false,
-                    "csv" => true,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
-            }
-            "--check" => opts.check = true,
-            "--out" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a value"));
-                opts.out = Some(v.clone());
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
-        }
-    }
-    if opts.code.is_none() && !opts.check {
-        usage_error("--bench is required (or pass --check to sweep the catalog)");
-    }
-    opts
-}
-
-/// Everything `dslens` derives from one lensed run.
+/// Everything `ds lens` derives from one lensed run.
 struct ModeView {
     report: RunReport,
     lens: LineLens,
 }
 
 fn run_mode(code: &str, input: InputSize, mode: Mode) -> ModeView {
-    let bench = ds_workloads::catalog::by_code(code).unwrap_or_else(|| {
-        eprintln!("dslens: unknown benchmark code {code:?} (see Table II)");
-        std::process::exit(1);
-    });
+    let bench = ds_workloads::catalog::by_code(code)
+        .unwrap_or_else(|| fail(&format!("unknown benchmark code {code:?} (see Table II)")));
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
     let (result, probes) =
         pipeline.run(&bench, input, mode, NullTracer, &FaultPlan::default(), None);
-    let report = result.unwrap_or_else(|e| {
-        eprintln!("dslens: {e}");
-        std::process::exit(1);
-    });
+    let report = result.unwrap_or_else(|e| fail(&e.to_string()));
     let lens = probes
         .lens
-        .expect("dslens runs at the default full probe level");
+        .expect("ds lens runs at the default full probe level");
     ModeView { report, lens }
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
-    }
 }
 
 /// One intensity character for `value` on a 0..=max scale.
@@ -527,62 +436,81 @@ fn check_bench(code: &str, input: InputSize) -> Vec<String> {
     errs
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(mut args: Args) -> Parsed<()> {
+    let mut code: Option<String> = None;
+    let mut input = InputSize::Small;
+    let mut top = 5;
+    let mut csv = false;
+    let mut check = false;
+    let mut out: Option<String> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => code = Some(args.value("--bench")?),
+            "--input" => input = args.input()?,
+            "--top" => top = args.parsed("--top", "a non-negative integer")?,
+            "--format" => {
+                csv = args.choice("--format", "format", &[("text", false), ("csv", true)])?
+            }
+            "--check" => check = true,
+            "--out" => out = Some(args.value("--out")?),
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
+        }
+    }
 
-    if opts.check && opts.code.is_none() {
+    let Some(code) = code else {
+        if !check {
+            return usage("--bench is required (or pass --check to sweep the catalog)");
+        }
         // Catalog sweep: reconciliation must hold on every workload.
         let mut failed = false;
         for bench in ds_workloads::catalog::all() {
-            let errs = check_bench(bench.code(), opts.input);
+            let errs = check_bench(bench.code(), input);
             if errs.is_empty() {
-                eprintln!("dslens: {:4} reconciles", bench.code());
+                eprintln!("ds lens: {:4} reconciles", bench.code());
             } else {
                 failed = true;
                 for e in &errs {
-                    eprintln!("dslens: check failed: {e}");
+                    eprintln!("ds lens: check failed: {e}");
                 }
             }
         }
         if failed {
             std::process::exit(1);
         }
-        eprintln!("dslens: all lens identities hold on every workload");
-        return;
-    }
+        eprintln!("ds lens: all lens identities hold on every workload");
+        return Ok(());
+    };
 
-    let code = opts.code.as_deref().expect("checked by parse_options");
-    let ccsm = run_mode(code, opts.input, Mode::Ccsm);
-    let ds = run_mode(code, opts.input, Mode::DirectStore);
+    let ccsm = run_mode(&code, input, Mode::Ccsm);
+    let ds = run_mode(&code, input, Mode::DirectStore);
 
-    if opts.check {
+    if check {
         let mut errs = check_view("ccsm", &ccsm);
         errs.extend(check_view("ds", &ds));
         errs.extend(check_ccsm_quiescence(&ccsm));
         if !errs.is_empty() {
             for e in &errs {
-                eprintln!("dslens: check failed: {e}");
+                eprintln!("ds lens: check failed: {e}");
             }
             std::process::exit(1);
         }
-        eprintln!("dslens: all lens identities hold");
+        eprintln!("ds lens: all lens identities hold");
     }
 
-    let text = if opts.csv {
+    let text = if csv {
         render_csv(&[("CCSM", &ccsm), ("DS", &ds)])
     } else {
-        render_text(code, opts.input, &ccsm, &ds, opts.top)
+        render_text(&code, input, &ccsm, &ds, top)
     };
 
-    match &opts.out {
+    match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("dslens: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("dslens: {code} {} -> {path}", opts.input);
+            std::fs::write(path, &text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            eprintln!("ds lens: {code} {input} -> {path}");
         }
         None => print!("{text}"),
     }
+    Ok(())
 }

@@ -1,26 +1,29 @@
-//! # ds-bench — the figure and table regeneration harness
+//! # ds-bench — the `ds` command and the paper's regeneration harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` for the
-//! full index):
+//! The package builds one binary, `ds` (`src/main.rs`), with one
+//! subcommand per tool; `ds --help` lists them all. The paper's
+//! tables and figures (see `DESIGN.md` for the full index):
 //!
-//! | target | regenerates |
+//! | subcommand | regenerates |
 //! |---|---|
-//! | `table1` | Table I (system configuration) |
-//! | `table2` | Table II (benchmark inventory) |
-//! | `fig1_dataflow` | Fig. 1 (CCSM vs DS data movement) |
-//! | `fig2_topology` | Fig. 2 (control flow + topology) |
-//! | `fig3_protocol` | Fig. 3 (modified Hammer transition table) |
-//! | `fig4_speedup` | Fig. 4 (speedup, small/big inputs) |
-//! | `fig5_missrate` | Fig. 5 (GPU L2 miss rates, small/big inputs) |
-//! | `ablate_*` | design-choice ablations (DESIGN.md) |
+//! | `ds table1` | Table I (system configuration) |
+//! | `ds table2` | Table II (benchmark inventory) |
+//! | `ds fig1` | Fig. 1 (CCSM vs DS data movement) |
+//! | `ds fig2` | Fig. 2 (control flow + topology) |
+//! | `ds fig3` | Fig. 3 (modified Hammer transition table) |
+//! | `ds fig4` | Fig. 4 (speedup, small/big inputs) |
+//! | `ds fig5` | Fig. 5 (GPU L2 miss rates, small/big inputs) |
+//! | `ds export-csv` | the full evaluation as CSV |
+//! | `ds ablate <study>` | design-choice ablations (DESIGN.md) |
 //!
-//! This library holds the shared formatting and argument code; the
-//! binaries are thin wrappers over the `ds-runner` orchestration
-//! subsystem (parallel execution, memoization, `DS_RUNNER_JOBS`).
+//! This library holds the shared formatting code; the subcommands are
+//! thin wrappers over the `ds-runner` orchestration subsystem
+//! (parallel execution, memoization, `DS_RUNNER_JOBS`) and the
+//! `ds-serve` job service.
 
-use ds_core::{Comparison, InputSize, PipelineError};
+use ds_core::{Comparison, PipelineError};
 
-/// Unwraps a pipeline result in a binary's `main`, exiting with a
+/// Unwraps a pipeline result in a subcommand, exiting with a
 /// message instead of a panic backtrace.
 pub fn exit_on_error<T>(result: Result<T, PipelineError>) -> T {
     result.unwrap_or_else(|e| {
@@ -61,37 +64,19 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(n.min(width))
 }
 
-/// Parses a binary's optional `small` / `big` / `both` CLI argument;
-/// no argument means both. Any other argument, or a second one, is an
-/// error naming it.
-fn parse_sizes(args: &[String]) -> Result<Vec<InputSize>, String> {
-    match args {
-        [] => Ok(vec![InputSize::Small, InputSize::Big]),
-        [size] => match size.as_str() {
-            "small" => Ok(vec![InputSize::Small]),
-            "big" => Ok(vec![InputSize::Big]),
-            "both" => Ok(vec![InputSize::Small, InputSize::Big]),
-            other => Err(format!("unknown input size {other:?}")),
-        },
-        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
+/// `part` as a percentage of `whole` (0 when `whole` is 0).
+pub fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
     }
-}
-
-/// Reads the input sizes from a binary's command line with
-/// [`parse_sizes`]; a bad argument prints the usage on stderr and
-/// exits 2.
-pub fn sizes_from_args(bin: &str) -> Vec<InputSize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_sizes(&args).unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}\n\nusage: {bin} [small|big|both]");
-        std::process::exit(2);
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_core::{Mode, SystemConfig};
+    use ds_core::{InputSize, Mode, SystemConfig};
     use ds_runner::Runner;
 
     #[test]
@@ -100,25 +85,6 @@ mod tests {
         assert_eq!(bar(20.0, 10.0, 10).chars().count(), 10);
         assert_eq!(bar(0.0, 10.0, 10), "");
         assert_eq!(bar(1.0, 0.0, 10), "");
-    }
-
-    #[test]
-    fn parse_sizes_variants() {
-        let sizes =
-            |args: &[&str]| parse_sizes(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
-        let both = vec![InputSize::Small, InputSize::Big];
-        assert_eq!(sizes(&["small"]), Ok(vec![InputSize::Small]));
-        assert_eq!(sizes(&["big"]), Ok(vec![InputSize::Big]));
-        assert_eq!(sizes(&["both"]), Ok(both.clone()));
-        assert_eq!(sizes(&[]), Ok(both));
-        for bad in [
-            &["--help"][..],
-            &["smal"],
-            &["small", "big"],
-            &["both", "VA"],
-        ] {
-            assert!(sizes(bad).is_err(), "{bad:?} must be rejected");
-        }
     }
 
     #[test]

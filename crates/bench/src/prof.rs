@@ -1,4 +1,4 @@
-//! `dsprof` — host-time self-profiling.
+//! `ds prof` — host-time self-profiling.
 //!
 //! Runs benchmarks with the `ds_probe::prof` scoped profiler enabled
 //! and reports where *host* time goes: the simulator's hot phases
@@ -11,17 +11,20 @@
 //! every probe level.
 //!
 //! ```text
-//! dsprof [--bench CODE] [--input small|big] [--mode ccsm|ds|both]
-//!        [--probe-level full|stages|minimal] [--window N]
-//!        [--format table|folded]
-//! dsprof --check [--bench CODE]
+//! ds prof [--bench CODE] [--input small|big] [--mode ccsm|ds|both]
+//!         [--probe-level full|stages|minimal] [--window N]
+//!         [--format table|folded]
+//! ds prof --check [--bench CODE]
 //! ```
 
+use ds_bench::pct;
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, Scenario, SystemConfig};
 use ds_probe::prof::{self, HostPhase, HostProfile, ProbeLevel};
 
-const USAGE: &str = "usage: dsprof [options]
-       dsprof --check [--bench CODE]
+use crate::cli::{fail, unknown, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds prof [options]
+       ds prof --check [--bench CODE]
 
 Profiles the simulator's own host time over the Table II catalog and
 prints a per-phase breakdown including the observability tax.
@@ -47,106 +50,13 @@ options:
                      every probe level; exits non-zero on violation
   --help             show this help";
 
-struct Options {
-    bench: Option<String>,
-    input: InputSize,
-    modes: Vec<Mode>,
-    level: ProbeLevel,
-    window: Option<u64>,
-    folded: bool,
-    check: bool,
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("dsprof: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        bench: None,
-        input: InputSize::Small,
-        modes: vec![Mode::Ccsm, Mode::DirectStore],
-        level: ProbeLevel::Full,
-        window: None,
-        folded: false,
-        check: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                opts.bench = Some(v.clone());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode needs a value"));
-                opts.modes = match v.as_str() {
-                    "ccsm" => vec![Mode::Ccsm],
-                    "ds" => vec![Mode::DirectStore],
-                    "both" => vec![Mode::Ccsm, Mode::DirectStore],
-                    other => usage_error(&format!("unknown mode {other:?}")),
-                };
-            }
-            "--probe-level" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--probe-level needs a value"));
-                opts.level = ProbeLevel::parse(v)
-                    .unwrap_or_else(|| usage_error(&format!("unknown probe level {v:?}")));
-            }
-            "--window" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--window needs a value"));
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => opts.window = Some(n),
-                    _ => usage_error(&format!("--window needs a positive integer, got {v:?}")),
-                }
-            }
-            "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.folded = match v.as_str() {
-                    "table" => false,
-                    "folded" => true,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
-            }
-            "--check" => opts.check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
-        }
-    }
-    opts
-}
+const BOTH: &[Mode] = &[Mode::Ccsm, Mode::DirectStore];
 
 fn benches(filter: Option<&str>) -> Vec<ds_workloads::Benchmark> {
     match filter {
         Some(code) => match ds_workloads::catalog::by_code(code) {
             Some(b) => vec![b],
-            None => {
-                eprintln!("dsprof: unknown benchmark code {code:?} (see Table II)");
-                std::process::exit(1);
-            }
+            None => fail(&format!("unknown benchmark code {code:?} (see Table II)")),
         },
         None => ds_workloads::catalog::all(),
     }
@@ -179,22 +89,11 @@ fn run_profiled_pulsed(
         &FaultPlan::default(),
         pulse,
     );
-    result.unwrap_or_else(|e| {
-        eprintln!("dsprof: {e}");
-        std::process::exit(1);
-    })
+    result.unwrap_or_else(|e| fail(&e.to_string()))
 }
 
 fn ms(nanos: u64) -> f64 {
     nanos as f64 / 1e6
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
-    }
 }
 
 /// The per-phase table: simulation phases first, then the tax
@@ -325,23 +224,54 @@ fn check_one(bench: &dyn Scenario, input: InputSize, mode: Mode) -> Vec<String> 
     errs
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(mut args: Args) -> Parsed<()> {
+    let mut bench: Option<String> = None;
+    let mut input = InputSize::Small;
+    let mut modes = BOTH;
+    let mut level = ProbeLevel::Full;
+    let mut window: Option<u64> = None;
+    let mut folded = false;
+    let mut check = false;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => bench = Some(args.value("--bench")?),
+            "--input" => input = args.input()?,
+            "--mode" => {
+                modes = args.choice(
+                    "--mode",
+                    "mode",
+                    &[
+                        ("ccsm", &[Mode::Ccsm][..]),
+                        ("ds", &[Mode::DirectStore]),
+                        ("both", BOTH),
+                    ],
+                )?;
+            }
+            "--probe-level" => level = args.probe_level()?,
+            "--window" => window = Some(args.positive("--window")?),
+            "--format" => {
+                folded =
+                    args.choice("--format", "format", &[("table", false), ("folded", true)])?;
+            }
+            "--check" => check = true,
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
+        }
+    }
 
-    if opts.check {
+    if check {
         let mut failed = false;
-        for bench in benches(opts.bench.as_deref()) {
+        for bench in benches(bench.as_deref()) {
             let mut errs = Vec::new();
-            for &mode in &opts.modes {
-                errs.extend(check_one(&bench, opts.input, mode));
+            for &mode in modes {
+                errs.extend(check_one(&bench, input, mode));
             }
             if errs.is_empty() {
-                eprintln!("dsprof: {:4} invariants hold", bench.code());
+                eprintln!("ds prof: {:4} invariants hold", bench.code());
             } else {
                 failed = true;
                 for e in &errs {
-                    eprintln!("dsprof: check failed: {e}");
+                    eprintln!("ds prof: check failed: {e}");
                 }
             }
         }
@@ -349,26 +279,26 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "dsprof: host-time invariants hold (profiler never perturbs simulated cycles; \
+            "ds prof: host-time invariants hold (profiler never perturbs simulated cycles; \
              shed levels have zero-cost tax buckets)"
         );
-        return;
+        return Ok(());
     }
 
     prof::set_enabled(true);
-    prof::set_level(opts.level);
+    prof::set_level(level);
     let mut merged = HostProfile::default();
     let mut runs = Vec::new();
-    for bench in benches(opts.bench.as_deref()) {
-        for &mode in &opts.modes {
-            let report = run_profiled_pulsed(&bench, opts.input, mode, opts.window);
+    for bench in benches(bench.as_deref()) {
+        for &mode in modes {
+            let report = run_profiled_pulsed(&bench, input, mode, window);
             let host = report.host.expect("profiler is enabled");
             runs.push((format!("{} {}", bench.code(), mode), host.wall_nanos));
             merged.merge(&host);
         }
     }
 
-    if opts.folded {
+    if folded {
         for line in merged.folded() {
             println!("{line}");
         }
@@ -377,14 +307,15 @@ fn main() {
             "dsprof: {} run{} at probe level {} — host-time self profile",
             runs.len(),
             if runs.len() == 1 { "" } else { "s" },
-            opts.level,
+            level,
         );
         print!("{}", render_table(&merged, &runs));
-        if opts.window.is_some() {
+        if window.is_some() {
             println!(
                 "pulse tax (tax_epochs): {:.2}% of wall",
                 pct(merged.phase_nanos(HostPhase::TaxEpochs), merged.wall_nanos),
             );
         }
     }
+    Ok(())
 }

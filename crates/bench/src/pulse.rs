@@ -1,4 +1,4 @@
-//! `dspulse` — the cycle-domain time-series telemetry CLI.
+//! `ds pulse` — the cycle-domain time-series telemetry subcommand.
 //!
 //! Runs one benchmark with the pulse sampler attached and renders the
 //! windowed counter series: a sparkline terminal dashboard, the raw
@@ -11,21 +11,23 @@
 //! anomaly.
 //!
 //! ```text
-//! dspulse --bench VA [--input small|big] [--mode ccsm|ds|ds-only]
-//!         [--window N] [--format dashboard|csv|report] [--out FILE]
-//!         [--seed N] [--drop RATE]
-//! dspulse --check [--window N]
+//! ds pulse --bench VA [--input small|big] [--mode ccsm|ds|ds-only]
+//!          [--window N] [--format dashboard|csv|report] [--out FILE]
+//!          [--seed N] [--net NET] [--kind KIND] [--rate RATE]
+//! ds pulse --check [--window N]
 //! ```
 
 use ds_core::Scenario as _;
-use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
+use ds_core::{FaultKind, FaultNet, FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
 use ds_probe::pulse::{ctr, gauge, PULSE_COUNTER_NAMES, PULSE_GAUGE_NAMES};
 use ds_probe::{sparkline, NullTracer, PulseConfig, PulseSeries, DEFAULT_PULSE_WINDOW};
 use ds_runner::report_to_json;
 use ds_workloads::catalog;
 
-const USAGE: &str = "usage: dspulse --bench CODE [options]
-       dspulse --check [--window N]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds pulse --bench CODE [options]
+       ds pulse --check [--window N]
 
 Runs one benchmark with pulse telemetry and renders the time series.
 
@@ -41,17 +43,15 @@ options:
                            csv        one row per window, all series
                            report     anomaly report + totals
   --seed N                 fault-plan seed (default: 0)
-  --drop RATE              direct-network drop rate in parts-per-65536
-                           (default: 0 = no faults); activates the
-                           ack/retry protocol so anomaly detectors
-                           have something to find
-  --delay RATE             direct-network delay rate in parts-per-65536
-                           (default: 0); delayed acks overshoot the ack
-                           timeout and trigger retries without ever
-                           losing a message
-  --delay-cycles N         extra latency for delayed messages
-                           (default: 400, past the 200-cycle ack
-                           timeout)
+  --net direct|coh|gpu|dram
+                           where to inject faults (default: direct)
+  --kind drop|dup|delay    fault kind for NoC nets (default: drop);
+                           delayed acks overshoot the ack timeout and
+                           trigger retries without losing a message
+  --rate RATE              fault rate in parts-per-65536 (default: 0 =
+                           no faults); faults activate the ack/retry
+                           protocol so anomaly detectors have
+                           something to find
   --sb-entries N           override the store-buffer size (default:
                            paper Table I, 16 entries); starving the
                            buffer is the reproducible way to drive
@@ -76,21 +76,13 @@ struct Options {
     mode: Mode,
     window: u64,
     format: Format,
-    seed: u64,
-    drop: u16,
-    delay: u16,
-    delay_cycles: u64,
+    plan: FaultPlan,
     sb_entries: Option<usize>,
     out: Option<String>,
     check: bool,
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("dspulse: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
+fn parse(mut args: Args) -> Parsed<Options> {
     let mut code = None;
     let mut opts = Options {
         code: String::new(),
@@ -98,138 +90,48 @@ fn parse_options(args: &[String]) -> Options {
         mode: Mode::DirectStore,
         window: DEFAULT_PULSE_WINDOW,
         format: Format::Dashboard,
-        seed: 0,
-        drop: 0,
-        delay: 0,
-        delay_cycles: 400,
+        plan: FaultPlan::default(),
         sb_entries: None,
         out: None,
         check: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let (mut seed, mut net, mut kind, mut rate) = (0, FaultNet::Direct, FaultKind::Drop, 0);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                code = Some(v.clone());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode needs a value"));
-                opts.mode = match v.as_str() {
-                    "ccsm" => Mode::Ccsm,
-                    "ds" | "direct" => Mode::DirectStore,
-                    "ds-only" => Mode::DirectStoreOnly,
-                    other => usage_error(&format!("unknown mode {other:?}")),
-                };
-            }
-            "--window" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--window needs a value"));
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => opts.window = n,
-                    _ => usage_error(&format!("--window needs a positive integer, got {v:?}")),
-                }
-            }
+            "--bench" => code = Some(args.value("--bench")?),
+            "--input" => opts.input = args.input()?,
+            "--mode" => opts.mode = args.run_mode()?,
+            "--window" => opts.window = args.positive("--window")?,
             "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.format = match v.as_str() {
-                    "dashboard" => Format::Dashboard,
-                    "csv" => Format::Csv,
-                    "report" => Format::Report,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
+                opts.format = args.choice(
+                    "--format",
+                    "format",
+                    &[
+                        ("dashboard", Format::Dashboard),
+                        ("csv", Format::Csv),
+                        ("report", Format::Report),
+                    ],
+                )?;
             }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--seed needs a value"));
-                opts.seed = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--seed needs an integer, got {v:?}"))
-                });
-            }
-            "--drop" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--drop needs a value"));
-                opts.drop = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--drop needs a rate in 0..=65535, got {v:?}"))
-                });
-            }
-            "--delay" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--delay needs a value"));
-                opts.delay = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--delay needs a rate in 0..=65535, got {v:?}"))
-                });
-            }
-            "--delay-cycles" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--delay-cycles needs a value"));
-                opts.delay_cycles = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--delay-cycles needs an integer, got {v:?}"))
-                });
-            }
-            "--sb-entries" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--sb-entries needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.sb_entries = Some(n),
-                    _ => usage_error(&format!("--sb-entries needs a positive integer, got {v:?}")),
-                }
-            }
-            "--out" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a value"));
-                opts.out = Some(v.clone());
-            }
+            "--seed" => seed = args.parsed("--seed", "an integer")?,
+            "--net" => net = args.fault_net()?,
+            "--kind" => kind = args.fault_kind()?,
+            "--rate" => rate = args.parsed("--rate", "a rate in 0..=65535")?,
+            "--sb-entries" => opts.sb_entries = Some(args.positive("--sb-entries")?),
+            "--out" => opts.out = Some(args.value("--out")?),
             "--check" => opts.check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
         }
     }
     if !opts.check {
-        opts.code = code.unwrap_or_else(|| usage_error("--bench is required (or use --check)"));
+        let Some(code) = code else {
+            return usage("--bench is required (or use --check)");
+        };
+        opts.code = code;
     }
-    opts
-}
-
-/// The fault plan a `--drop` / `--delay` run executes under:
-/// deterministic drops and delays on the direct-store network with the
-/// default ack/retry protocol, so the retry-burst and
-/// livelock-precursor detectors have real signal.
-fn fault_plan(seed: u64, drop: u16, delay: u16, delay_cycles: u64) -> FaultPlan {
-    let mut plan = FaultPlan {
-        seed,
-        ..FaultPlan::default()
-    };
-    plan.direct_net.drop = drop;
-    plan.direct_net.delay = delay;
-    plan.direct_net.delay_cycles = delay_cycles;
-    plan
+    opts.plan = FaultPlan::single(seed, net, kind, rate);
+    Ok(opts)
 }
 
 /// CSV header for the per-window series: the window bounds followed by
@@ -461,12 +363,12 @@ fn run_check(window: u64) -> Result<(), String> {
             runs += 1;
         }
     }
-    eprintln!("dspulse --check: {runs} run(s) conserved and bit-identical with pulse stripped");
+    eprintln!("ds pulse --check: {runs} run(s) conserved and bit-identical with pulse stripped");
 
     // A seeded fault sweep must surface at least one anomaly: drops on
     // the direct network force retries, and the retry-burst / livelock-
     // precursor detectors must see them.
-    let plan = fault_plan(7, 0, 32_000, 400);
+    let plan = FaultPlan::single(7, FaultNet::Direct, FaultKind::Delay, 32_000);
     let (result, _) = pipeline.run(
         catalog::by_code("VA").as_ref().expect("VA is in Table II"),
         InputSize::Small,
@@ -491,32 +393,29 @@ fn run_check(window: u64) -> Result<(), String> {
         ));
     }
     eprintln!(
-        "dspulse --check: seeded fault run surfaced {} anomaly(ies), e.g. {}",
+        "ds pulse --check: seeded fault run surfaced {} anomaly(ies), e.g. {}",
         series.anomalies.len(),
         series.anomalies[0],
     );
     Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(args: Args) -> Parsed<()> {
+    let opts = parse(args)?;
 
     if opts.check {
         if let Err(e) = run_check(opts.window) {
-            eprintln!("dspulse: check failed: {e}");
-            std::process::exit(1);
+            fail(&format!("check failed: {e}"));
         }
         println!("dspulse --check: ok");
-        return;
+        return Ok(());
     }
 
     let bench = catalog::by_code(&opts.code).unwrap_or_else(|| {
-        eprintln!(
-            "dspulse: unknown benchmark code {:?} (see Table II)",
+        fail(&format!(
+            "unknown benchmark code {:?} (see Table II)",
             opts.code
-        );
-        std::process::exit(1);
+        ))
     });
 
     let mut cfg = SystemConfig::paper_default();
@@ -524,19 +423,15 @@ fn main() {
         cfg.store_buffer_entries = entries;
     }
     let pipeline = Pipeline::with_config(cfg);
-    let plan = fault_plan(opts.seed, opts.drop, opts.delay, opts.delay_cycles);
     let (result, _) = pipeline.run(
         &bench,
         opts.input,
         opts.mode,
         NullTracer,
-        &plan,
+        &opts.plan,
         Some(PulseConfig::with_window(opts.window)),
     );
-    let report = result.unwrap_or_else(|e| {
-        eprintln!("dspulse: {e}");
-        std::process::exit(1);
-    });
+    let report = result.unwrap_or_else(|e| fail(&e.to_string()));
     let series = report.pulse.as_ref().expect("pulsed run carries a series");
 
     let header = format!(
@@ -554,12 +449,10 @@ fn main() {
 
     match &opts.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("dspulse: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+            std::fs::write(path, &text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
             eprintln!(
-                "dspulse: {} {} {}: {} window(s) -> {path}",
+                "ds pulse: {} {} {}: {} window(s) -> {path}",
                 opts.code,
                 opts.input,
                 report.mode,
@@ -568,6 +461,7 @@ fn main() {
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -586,14 +480,38 @@ mod tests {
 
     #[test]
     fn fault_plan_is_inactive_without_faults() {
-        assert!(!fault_plan(7, 0, 0, 400).is_active());
-        let dropped = fault_plan(7, 1000, 0, 400);
+        let plan = |flags: &[&str]| {
+            let mut argv = vec!["--bench".to_string(), "VA".to_string()];
+            argv.extend(flags.iter().map(|f| f.to_string()));
+            parse(Args::new(argv)).unwrap().plan
+        };
+        assert!(!plan(&["--seed", "7"]).is_active());
+        let dropped = plan(&["--seed", "7", "--rate", "1000"]);
         assert!(dropped.is_active());
         assert!(dropped.retries_enabled());
         assert_eq!(dropped.seed, 7);
-        let delayed = fault_plan(7, 0, 1000, 400);
+        let delayed = plan(&["--seed", "7", "--kind", "delay", "--rate", "1000"]);
         assert!(delayed.is_active());
         assert_eq!(delayed.direct_net.delay_cycles, 400);
+    }
+
+    #[test]
+    fn cli_and_served_faults_build_equal_plans() {
+        for net in FaultNet::ALL.map(FaultNet::name) {
+            for kind in FaultKind::ALL.map(FaultKind::name) {
+                let flags = [
+                    "--bench", "VA", "--net", net, "--kind", kind, "--rate", "300",
+                ];
+                let argv = [&flags[..], &["--seed", "5"]].concat();
+                let cli = parse(Args::new(argv.iter().map(|a| a.to_string()).collect()));
+                let body = format!(
+                    r#"{{"tasks": [{{"bench": "VA", "input": "small", "mode": "ds"}}],
+                        "faults": {{"net": "{net}", "kind": "{kind}", "rate": 300, "seed": 5}}}}"#
+                );
+                let served = ds_serve::api::parse_submission(body.as_bytes()).unwrap();
+                assert_eq!(served[0].faults, cli.unwrap().plan, "{net} {kind}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! `dsrun` — the experiment-orchestration CLI.
+//! `ds run` — the experiment-orchestration subcommand.
 //!
 //! Runs the CCSM-vs-direct-store comparison sweep through the parallel
 //! [`Runner`], with optional benchmark selection, worker-count control,
 //! an on-disk result cache, and text/JSON/CSV output.
 //!
 //! ```text
-//! dsrun [--input small|big|both] [--bench VA,MM,...] [--mode ds|ds-only]
-//!       [--jobs N] [--cache [DIR]] [--format text|json|csv] [--quiet]
+//! ds run [--input small|big|both] [--bench VA,MM,...] [--mode ds|ds-only]
+//!        [--jobs N] [--cache [DIR]] [--format text|json|csv] [--quiet]
 //! ```
 
 use ds_core::Scenario as _;
@@ -18,7 +18,9 @@ use ds_runner::{
 use std::path::Path;
 use std::time::Duration;
 
-const USAGE: &str = "usage: dsrun [options]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds run [options]
 
 Runs the paper's CCSM-vs-direct-store comparison sweep in parallel.
 
@@ -47,194 +49,110 @@ options:
                            timed out (requires --keep-going)
   --help                   show this help";
 
-struct Options {
-    inputs: Vec<InputSize>,
-    codes: Option<Vec<String>>,
-    ds_mode: Mode,
-    jobs: Option<usize>,
-    cache: Option<String>,
-    format: Format,
-    probe_level: ds_probe::ProbeLevel,
-    quiet: bool,
-    keep_going: bool,
-    timeout: Option<u64>,
-}
-
-#[derive(PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
     Json,
     Csv,
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("dsrun: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        inputs: vec![InputSize::Small, InputSize::Big],
-        codes: None,
-        ds_mode: Mode::DirectStore,
-        jobs: None,
-        cache: None,
-        format: Format::Text,
-        probe_level: ds_probe::ProbeLevel::Full,
-        quiet: false,
-        keep_going: false,
-        timeout: None,
-    };
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
+pub fn main(mut args: Args) -> Parsed<()> {
+    let mut inputs = vec![InputSize::Small, InputSize::Big];
+    let mut codes: Option<Vec<String>> = None;
+    let mut ds_mode = Mode::DirectStore;
+    let mut jobs: Option<usize> = None;
+    let mut cache: Option<String> = None;
+    let mut format = Format::Text;
+    let mut probe_level = ds_probe::ProbeLevel::Full;
+    let (mut quiet, mut keep_going) = (false, false);
+    let mut timeout: Option<u64> = None;
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.inputs = match v.as_str() {
-                    "small" => vec![InputSize::Small],
-                    "big" => vec![InputSize::Big],
-                    "both" => vec![InputSize::Small, InputSize::Big],
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                opts.codes = Some(v.split(',').map(str::to_string).collect());
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode needs a value"));
-                opts.ds_mode = match v.as_str() {
-                    "ds" => Mode::DirectStore,
-                    "ds-only" => Mode::DirectStoreOnly,
-                    other => usage_error(&format!("unknown mode {other:?}")),
-                };
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.jobs = Some(n),
-                    _ => usage_error(&format!("--jobs needs a positive integer, got {v:?}")),
-                }
-            }
-            "--cache" => {
-                // Directory operand is optional: `--cache` alone uses
-                // the conventional results/ directory.
-                let dir = match it.peek() {
-                    Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
-                    _ => "results".to_string(),
-                };
-                opts.cache = Some(dir);
-            }
+            "--input" => inputs = args.inputs()?,
+            "--bench" => codes = Some(args.codes()?),
+            "--mode" => ds_mode = args.sweep_mode()?,
+            "--jobs" => jobs = Some(args.positive("--jobs")?),
+            // The directory operand is optional: `--cache` alone uses
+            // the conventional results/ directory.
+            "--cache" => cache = Some(args.operand().unwrap_or_else(|| "results".into())),
             "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "csv" => Format::Csv,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
+                format = args.choice(
+                    "--format",
+                    "format",
+                    &[
+                        ("text", Format::Text),
+                        ("json", Format::Json),
+                        ("csv", Format::Csv),
+                    ],
+                )?;
             }
-            "--probe-level" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--probe-level needs a value"));
-                opts.probe_level = ds_probe::ProbeLevel::parse(v)
-                    .unwrap_or_else(|| usage_error(&format!("unknown probe level {v:?}")));
-            }
-            "--timeout" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--timeout needs a value"));
-                match v.parse::<u64>() {
-                    Ok(n) => opts.timeout = Some(n),
-                    _ => usage_error(&format!("--timeout needs a number of seconds, got {v:?}")),
-                }
-            }
-            "--quiet" => opts.quiet = true,
-            "--keep-going" => opts.keep_going = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--probe-level" => probe_level = args.probe_level()?,
+            "--timeout" => timeout = Some(args.parsed("--timeout", "a number of seconds")?),
+            "--quiet" => quiet = true,
+            "--keep-going" => keep_going = true,
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
         }
     }
-    opts
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+    if timeout.is_some() && !keep_going {
+        // A timed-out task can only be reported, not retried, so a
+        // budget without --keep-going would just abort the sweep.
+        return usage("--timeout requires --keep-going");
+    }
     // Probe shedding is process-global: set it once before any worker
     // thread simulates. The disk cache refuses to persist shed-level
     // reports, so `--cache` stays safe at every level.
-    ds_probe::prof::set_level(opts.probe_level);
-
-    if opts.timeout.is_some() && !opts.keep_going {
-        // A timed-out task can only be reported, not retried, so a
-        // budget without --keep-going would just abort the sweep.
-        usage_error("--timeout requires --keep-going");
-    }
+    ds_probe::prof::set_level(probe_level);
 
     let cfg = SystemConfig::paper_default();
-    let mut runner = Runner::new().progress(!opts.quiet);
-    if let Some(n) = opts.jobs {
+    let mut runner = Runner::new().progress(!quiet);
+    if let Some(n) = jobs {
         runner = runner.jobs(n);
     }
-    if let Some(dir) = &opts.cache {
+    if let Some(dir) = &cache {
         runner = runner.with_disk_cache(dir);
     }
-    if let Some(secs) = opts.timeout {
+    if let Some(secs) = timeout {
         runner = runner.task_timeout(Duration::from_secs(secs));
     }
     // Under --keep-going every non-clean outcome ships a postmortem
     // file next to the result cache (results/postmortem by default).
-    let pm_dir = format!("{}/postmortem", opts.cache.as_deref().unwrap_or("results"));
-    if opts.keep_going {
+    let pm_dir = format!("{}/postmortem", cache.as_deref().unwrap_or("results"));
+    if keep_going {
         runner = runner.with_postmortems(&pm_dir);
     }
 
     let mut all: Vec<Comparison> = Vec::new();
     let mut failed_tasks = 0usize;
-    if opts.keep_going {
+    if keep_going {
         // Unknown codes never make it into the sweep's task list, so
         // surface them here instead of silently dropping them.
-        if let Some(codes) = &opts.codes {
+        if let Some(codes) = &codes {
             for code in codes {
                 if ds_workloads::catalog::by_code(code).is_none() {
-                    eprintln!("dsrun: unknown benchmark code {code:?} (see Table II)");
+                    eprintln!("ds run: unknown benchmark code {code:?} (see Table II)");
                     failed_tasks += 1;
                 }
             }
         }
     }
-    for &input in &opts.inputs {
+    for &input in &inputs {
         let filter = |b: &ds_workloads::Benchmark| {
-            opts.codes
+            codes
                 .as_ref()
                 .is_none_or(|codes| codes.iter().any(|c| c == b.code()))
         };
-        if opts.keep_going {
+        if keep_going {
             // Run every task and fold only fully-successful pairs into
             // comparisons; failures are reported and counted.
-            let tasks = sweep_tasks(&cfg, input, opts.ds_mode, filter);
+            let tasks = sweep_tasks(&cfg, input, ds_mode, filter);
             let outcomes = runner.run_tasks_outcomes(&tasks);
             for (task, outcome) in tasks.iter().zip(&outcomes) {
                 // Degraded runs still yield a comparison, but they also
                 // shipped a postmortem — say where it went.
                 if matches!(outcome, TaskOutcome::Degraded(_)) {
                     eprintln!(
-                        "dsrun: {} {} {}: degraded (postmortem: {})",
+                        "ds run: {} {} {}: degraded (postmortem: {})",
                         task.code,
                         task.input,
                         task.mode,
@@ -260,7 +178,7 @@ fn main() {
                         };
                         failed_tasks += 1;
                         eprintln!(
-                            "dsrun: {} {} {}: {detail} (postmortem: {})",
+                            "ds run: {} {} {}: {detail} (postmortem: {})",
                             task.code,
                             task.input,
                             task.mode,
@@ -271,17 +189,14 @@ fn main() {
             }
         } else {
             let sweep = runner
-                .sweep(&cfg, input, opts.ds_mode, filter)
-                .unwrap_or_else(|e| {
-                    eprintln!("dsrun: {e}");
-                    std::process::exit(1);
-                });
+                .sweep(&cfg, input, ds_mode, filter)
+                .unwrap_or_else(|e| fail(&e.to_string()));
             all.extend(sweep);
         }
     }
 
-    if let Some(codes) = &opts.codes {
-        let per_input = all.len() / opts.inputs.len();
+    if let Some(codes) = &codes {
+        let per_input = all.len() / inputs.len();
         if per_input != codes.len() {
             let known: Vec<&str> = all.iter().map(|c| c.code.as_str()).collect();
             let missing: Vec<&String> = codes
@@ -290,14 +205,15 @@ fn main() {
                 .collect();
             // Under --keep-going a known code can also be absent
             // because its task failed; that is already reported.
-            if !missing.is_empty() && !opts.keep_going {
-                eprintln!("dsrun: unknown benchmark code(s): {missing:?} (see Table II)");
-                std::process::exit(1);
+            if !missing.is_empty() && !keep_going {
+                fail(&format!(
+                    "unknown benchmark code(s): {missing:?} (see Table II)"
+                ));
             }
         }
     }
 
-    match opts.format {
+    match format {
         Format::Text => {
             for c in &all {
                 println!("{c}");
@@ -309,7 +225,7 @@ fn main() {
                     "fingerprint".into(),
                     Json::Str(format!("{:016x}", Runner::fingerprint(&cfg))),
                 ),
-                ("mode".into(), Json::Str(opts.ds_mode.to_string())),
+                ("mode".into(), Json::Str(ds_mode.to_string())),
                 (
                     "comparisons".into(),
                     Json::Arr(all.iter().map(comparison_to_json).collect()),
@@ -325,12 +241,12 @@ fn main() {
         }
     }
 
-    if !opts.quiet {
+    if !quiet {
         eprintln!(
-            "dsrun: {} comparison(s), {} simulation(s) run{}",
+            "ds run: {} comparison(s), {} simulation(s) run{}",
             all.len(),
             runner.simulations_run(),
-            if opts.cache.is_some() {
+            if cache.is_some() {
                 " (rest served from cache)"
             } else {
                 ""
@@ -338,7 +254,7 @@ fn main() {
         );
     }
     if failed_tasks > 0 {
-        eprintln!("dsrun: {failed_tasks} task(s) failed");
-        std::process::exit(1);
+        fail(&format!("{failed_tasks} task(s) failed"));
     }
+    Ok(())
 }

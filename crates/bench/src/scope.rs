@@ -1,12 +1,12 @@
-//! `dsscope` — correlated span tracing: stitch, summarize, audit.
+//! `ds scope` — correlated span tracing: stitch, summarize, audit.
 //!
 //! The consumer side of ds-scope. Three commands:
 //!
 //! ```text
-//! dsscope --check [--bench A,B,...] [--jobs N]
-//! dsscope summary (--job FILE | --url U JOB)
-//! dsscope merge   (--job FILE | --url U JOB) [--trace FILE]...
-//!                 [--out FILE]
+//! ds scope --check [--bench A,B,...] [--jobs N]
+//! ds scope summary (--job FILE | --url U JOB)
+//! ds scope merge   (--job FILE | --url U JOB) [--trace FILE]...
+//!                  [--out FILE]
 //! ```
 //!
 //! * `--check` runs the span audit over the small catalog: every
@@ -21,10 +21,10 @@
 //!   `/jobs/<id>/results` document (fetched live or read from a
 //!   file).
 //! * `merge` additionally stitches the service-level spans and any
-//!   `dstrace` Chrome tracks into one Perfetto-loadable trace, so a
+//!   `ds trace` Chrome tracks into one Perfetto-loadable trace, so a
 //!   single artifact spans HTTP request → job → task →
 //!   queue-wait/store-lookup/sim-run → simulator stage events. A
-//!   trace rendered with `dstrace --format chrome --window N` also
+//!   trace rendered with `ds trace --format chrome --window N` also
 //!   carries ds-pulse counter tracks and anomaly instants; those
 //!   pass through untouched, so the merged artifact shows live
 //!   counter ramps under the span tree.
@@ -41,7 +41,11 @@ use ds_runner::json::{self, Json};
 use ds_runner::{span_from_json, sweep_tasks, Runner, TaskOutcome};
 use ds_serve::client;
 
-const USAGE: &str = "usage: dsscope <command> [options]
+use crate::cli::{fail, unknown, usage, Args, Parsed};
+
+pub const USAGE: &str = "usage: ds scope --check [--bench A,B,...] [--jobs N]
+       ds scope summary (--job FILE | --url U JOB)
+       ds scope merge   (--job FILE | --url U JOB) [--trace FILE]... [--out FILE]
 
 Correlated span tracing over ds-serve jobs and ds-runner reports.
 
@@ -49,7 +53,7 @@ commands:
   --check    audit span trees over the small catalog (exit 1 on any
              telescoping/reconciliation violation or scope overhead)
   summary    print a job's span-tree summary with telescoping checks
-  merge      stitch job spans + dstrace Chrome tracks (including
+  merge      stitch job spans + `ds trace` Chrome tracks (including
              ds-pulse counter tracks from --window renders) into one
              Perfetto trace
 
@@ -60,58 +64,24 @@ check options:
 summary/merge options:
   --job FILE        read the /jobs/<id>/results document from FILE
   --url U JOB       fetch it live from server U, job id JOB
-  --trace FILE      (merge) a dstrace Chrome JSON to fold in; repeat
+  --trace FILE      (merge) a `ds trace` Chrome JSON to fold in; repeat
                     for more files
   --out FILE        (merge) output path
                     (default: results/dsscope-trace.json)
 
 exit codes: 0 ok; 1 violation or failure; 2 usage";
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("dsscope: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("dsscope: {message}");
-    std::process::exit(1);
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        None => usage_error("missing command"),
-        Some("--help" | "-h" | "help") => println!("{USAGE}"),
-        Some("--check") => run_check(&argv[1..]),
-        Some("summary") => cmd_summary(&argv[1..], false),
-        Some("merge") => cmd_summary(&argv[1..], true),
-        Some(other) => usage_error(&format!("unknown command {other:?}")),
-    }
-}
-
 // ---------------------------------------------------------------- check
 
-fn run_check(rest: &[String]) {
+/// `ds scope --check`.
+pub fn check(mut args: Args) -> Parsed<()> {
     let mut codes: Option<Vec<String>> = None;
     let mut jobs: Option<usize> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                codes = Some(v.split(',').map(str::to_string).collect());
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                jobs = v.parse().ok().filter(|n| *n > 0).or_else(|| {
-                    usage_error(&format!("--jobs needs a positive integer, got {v:?}"))
-                });
-            }
-            other => usage_error(&format!("unknown check option {other:?}")),
+            "--bench" => codes = Some(args.codes()?),
+            "--jobs" => jobs = Some(args.positive("--jobs")?),
+            other => return unknown(other),
         }
     }
 
@@ -140,34 +110,34 @@ fn run_check(rest: &[String]) {
     for (task, outcome) in tasks.iter().zip(&outcomes) {
         let label = format!("{} {} {}", task.code, task.input, task.mode);
         let Some(report) = outcome.report() else {
-            eprintln!("dsscope: FAIL {label}: task ended {}", outcome.tag());
+            eprintln!("ds scope: FAIL {label}: task ended {}", outcome.tag());
             failures += 1;
             continue;
         };
         let Some(tree) = &report.scope else {
-            eprintln!("dsscope: FAIL {label}: report carries no span tree with scope on");
+            eprintln!("ds scope: FAIL {label}: report carries no span tree with scope on");
             failures += 1;
             continue;
         };
         if let Err(e) = tree.check() {
-            eprintln!("dsscope: FAIL {label}: telescoping violation: {e}");
+            eprintln!("ds scope: FAIL {label}: telescoping violation: {e}");
             failures += 1;
             continue;
         }
         let Some(task_span) = tree.find(SpanKind::Task) else {
-            eprintln!("dsscope: FAIL {label}: tree has no task span");
+            eprintln!("ds scope: FAIL {label}: tree has no task span");
             failures += 1;
             continue;
         };
         let Some(rec) = tree.reconcile(task_span.id) else {
-            eprintln!("dsscope: FAIL {label}: task span does not reconcile");
+            eprintln!("ds scope: FAIL {label}: task span does not reconcile");
             failures += 1;
             continue;
         };
         let sum = rec.queue_us + rec.store_us + rec.sim_us + rec.overhead_us;
         if sum != rec.total_us {
             eprintln!(
-                "dsscope: FAIL {label}: queue {} + store {} + sim {} + overhead {} \
+                "ds scope: FAIL {label}: queue {} + store {} + sim {} + overhead {} \
                  != total {}",
                 rec.queue_us, rec.store_us, rec.sim_us, rec.overhead_us, rec.total_us
             );
@@ -194,20 +164,20 @@ fn run_check(rest: &[String]) {
         match outcome.first().and_then(TaskOutcome::report) {
             Some(plain) => {
                 if plain.scope.is_some() {
-                    eprintln!("dsscope: FAIL VA: report carries a span tree with scope off");
+                    eprintln!("ds scope: FAIL VA: report carries a span tree with scope off");
                     failures += 1;
                 }
                 scoped.scope = None;
                 if format!("{plain:?}") != format!("{scoped:?}") {
                     eprintln!(
-                        "dsscope: FAIL VA: scope-off report differs from scope-on minus \
+                        "ds scope: FAIL VA: scope-off report differs from scope-on minus \
                          the tree (scope is not zero-overhead)"
                     );
                     failures += 1;
                 }
             }
             None => {
-                eprintln!("dsscope: FAIL VA: scope-off rerun produced no report");
+                eprintln!("ds scope: FAIL VA: scope-off rerun produced no report");
                 failures += 1;
             }
         }
@@ -221,6 +191,7 @@ fn run_check(rest: &[String]) {
          reconcile exactly, and scope-off reports are bit-identical",
         tasks.len()
     );
+    Ok(())
 }
 
 // ------------------------------------------------------- summary/merge
@@ -238,16 +209,16 @@ struct JobSpans {
     tasks: Vec<TaskSpans>,
 }
 
-fn load_results_doc(job_file: Option<&str>, url_job: Option<(&str, u64)>) -> Json {
-    match (job_file, url_job) {
+fn load_results_doc(job_file: Option<&str>, url_job: Option<(&str, u64)>) -> Parsed<Json> {
+    Ok(match (job_file, url_job) {
         (Some(path), None) => {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
             json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
         }
         (None, Some((url, id))) => client::fetch_results(url, id).unwrap_or_else(|e| fail(&e)),
-        _ => usage_error("give exactly one of --job FILE or --url U JOB"),
-    }
+        _ => return usage("give exactly one of --job FILE or --url U JOB"),
+    })
 }
 
 fn parse_job_spans(doc: &Json) -> JobSpans {
@@ -489,50 +460,38 @@ fn merged_trace(job: &JobSpans, trace_files: &[String]) -> Json {
     ])
 }
 
-fn cmd_summary(rest: &[String], merge: bool) {
+/// `ds scope summary`.
+pub fn summary(args: Args) -> Parsed<()> {
+    summarize(args, false)
+}
+
+/// `ds scope merge`.
+pub fn merge(args: Args) -> Parsed<()> {
+    summarize(args, true)
+}
+
+fn summarize(mut args: Args, merge: bool) -> Parsed<()> {
     let mut job_file: Option<String> = None;
     let mut url_job: Option<(String, u64)> = None;
     let mut trace_files: Vec<String> = Vec::new();
     let mut out = "results/dsscope-trace.json".to_string();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--job" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--job needs a file"));
-                job_file = Some(v.clone());
-            }
+            "--job" => job_file = Some(args.value("--job")?),
             "--url" => {
-                let u = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--url needs a value"));
-                let id = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage_error("--url needs a URL and a job id"));
-                url_job = Some((u.clone(), id));
+                let u = args.value("--url")?;
+                let id = args.parsed("--url", "a URL and a job id")?;
+                url_job = Some((u, id));
             }
-            "--trace" if merge => {
-                trace_files.push(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--trace needs a file"))
-                        .clone(),
-                );
-            }
-            "--out" if merge => {
-                out = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a file"))
-                    .clone();
-            }
-            other => usage_error(&format!("unknown option {other:?}")),
+            "--trace" if merge => trace_files.push(args.value("--trace")?),
+            "--out" if merge => out = args.value("--out")?,
+            other => return unknown(other),
         }
     }
     let doc = load_results_doc(
         job_file.as_deref(),
         url_job.as_ref().map(|(u, id)| (u.as_str(), *id)),
-    );
+    )?;
     let job = parse_job_spans(&doc);
     let failures = print_summary(&job);
     if merge {
@@ -553,4 +512,5 @@ fn cmd_summary(rest: &[String], merge: bool) {
     if failures > 0 {
         fail(&format!("{failures} span check(s) failed"));
     }
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! `dsserve` — simulation as a service.
+//! `ds serve` and its client commands — simulation as a service.
 //!
 //! Runs the deterministic simulator behind an HTTP job API with a
 //! shared content-addressed result store, and ships its own client
@@ -6,27 +6,27 @@
 //! audit) works from one binary with zero dependencies.
 //!
 //! ```text
-//! dsserve serve    [--port N] [--addr HOST:PORT] [--port-file PATH]
-//!                  [--workers N] [--handlers N] [--queue-limit N]
-//!                  [--timeout SECS] [--cache DIR | --no-cache]
-//!                  [--no-journal] [--verbose]
-//! dsserve submit   [--url U] [--bench A,B,...] [--input small|big]
-//!                  [--mode ds|ds-only] [--pulse WINDOW] [--no-wait]
-//!                  [--expect-cached] [--wait-timeout SECS]
-//!                  [--retries N] [--retry-busy]
-//! dsserve status   [--url U] JOB
-//! dsserve results  [--url U] JOB
-//! dsserve watch    [--url U] JOB
-//! dsserve metrics  [--url U]
-//! dsserve stress   [--url U] [--users N] [--ops N] [--seed S]
-//!                  [--bench A,B,...] [--require-hits]
-//! dsserve drill    [--bench A,B,...] [--seed S] [--workers N]
-//!                  [--dir DIR] [--keep]
-//! dsserve shutdown [--url U]
-//! dsserve --check
+//! ds serve    [--port N] [--addr HOST:PORT] [--port-file PATH]
+//!             [--workers N] [--handlers N] [--queue-limit N]
+//!             [--timeout SECS] [--cache DIR | --no-cache]
+//!             [--no-journal] [--verbose]
+//! ds serve --check
+//! ds submit   [--url U] [--bench A,B,...] [--input small|big]
+//!             [--mode ds|ds-only] [--pulse WINDOW] [--no-wait]
+//!             [--expect-cached] [--wait-timeout SECS]
+//!             [--retries N] [--retry-busy]
+//! ds status   [--url U] JOB
+//! ds results  [--url U] JOB
+//! ds watch    [--url U] JOB
+//! ds metrics  [--url U]
+//! ds stress   [--url U] [--users N] [--ops N] [--seed S]
+//!             [--bench A,B,...] [--require-hits]
+//! ds drill    [--bench A,B,...] [--seed S] [--workers N]
+//!             [--dir DIR] [--keep]
+//! ds shutdown [--url U]
 //! ```
 //!
-//! `submit` prints the *byte-identical* `dsrun --format json`
+//! `submit` prints the *byte-identical* `ds run --format json`
 //! document for the same sweep (CI `cmp`s them), and exits 7 — not 1
 //! — when admission control answers 429, so scripts can tell an
 //! explicit saturation rejection from a real failure.
@@ -50,30 +50,17 @@ use ds_serve::journal::Journal;
 use ds_serve::stress::{run_stress, StressOptions};
 use ds_serve::{ServeOptions, Server};
 
-const USAGE: &str = "usage: dsserve <command> [options]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
 
-Simulation as a service: an HTTP job API over the deterministic
-runner with a shared content-addressed result store.
+pub const SERVE_USAGE: &str = "usage: ds serve [options]
+       ds serve --check
 
-commands:
-  serve      run the service until POST /shutdown (or SIGTERM/SIGINT,
-             which drain through the same path)
-  submit     submit a sweep, wait, print dsrun-identical JSON
-  status     print a job's status document
-  results    print a job's results document
-  watch      tail a job's live telemetry (span-open/close, progress,
-             pulse windows) until it completes; one NDJSON event per
-             line on stdout, plus live sparkline dashboards on stderr
-             for tasks submitted with a pulse window
-  metrics    print the /metrics document
-  stress     seeded virtual users; ops/sec, p50/p95/p99, hit rate
-  drill      crash drill: kill a real server mid-sweep at a seeded
-             point, restart it, and prove zero job loss, no
-             double-compute, and byte-identical results
-  shutdown   ask a server to shut down cleanly
-  --check    run the service self-audit (exit 1 on violation)
+Runs the simulation service: an HTTP job API over the deterministic
+runner with a shared content-addressed result store, until POST
+/shutdown (or SIGTERM/SIGINT, which drain through the same path).
+--check instead runs the service self-audit (exit 1 on violation).
 
-serve options:
+options:
   --port N            port on 127.0.0.1 (default: 7878; 0 = ephemeral)
   --addr HOST:PORT    bind address (overrides --port)
   --port-file PATH    write the bound HOST:PORT to PATH once listening
@@ -97,8 +84,15 @@ serve options:
   --verbose           log one line per request to stderr: span id,
                       method, path, status, bytes, duration
   --log-format F      request-log shape: text (default) or json
+  --help              show this help
 
-submit options:
+exit codes: 0 ok; 1 failure or audit violation; 2 usage";
+
+pub const SUBMIT_USAGE: &str = "usage: ds submit [options]
+
+Submits a sweep, waits, and prints the `ds run --format json` document.
+
+options:
   --url U             server base URL (default: http://127.0.0.1:7878)
   --bench A,B,...     only these Table II codes (default: all 22)
   --input small|big   input size (default: small)
@@ -106,7 +100,7 @@ submit options:
   --pulse WINDOW      enable ds-pulse telemetry at WINDOW cycles per
                       window (the reports carry the time series; watch
                       the job for live sparklines). Pulsed documents
-                      are a superset of dsrun's, so the byte-identity
+                      are a superset of `ds run`'s, so the byte-identity
                       contract applies to pulse-free submissions only
   --no-wait           print the job id and exit without waiting
   --expect-cached     fail (exit 1) unless every task was served
@@ -121,7 +115,50 @@ submit options:
                       server's Retry-After; off by default so scripts
                       still see saturation immediately (exit 7)
 
-drill options:
+exit codes: 0 ok; 1 failure; 2 usage;
+7 submission explicitly rejected by admission control (429)";
+
+pub const JOB_USAGE: &str = "usage: ds status|results|watch [--url U] JOB
+
+status prints a job's status document, results its results document.
+watch tails a job's live telemetry (span-open/close, progress, pulse
+windows) until it completes: one NDJSON event per line on stdout, plus
+live sparkline dashboards on stderr for tasks submitted with a pulse
+window.
+
+options:
+  --url U             server base URL (default: http://127.0.0.1:7878)";
+
+pub const URL_USAGE: &str = "usage: ds metrics|shutdown [--url U]
+
+metrics prints the /metrics document; shutdown asks a server to shut
+down cleanly.
+
+options:
+  --url U             server base URL (default: http://127.0.0.1:7878)";
+
+pub const STRESS_USAGE: &str = "usage: ds stress [options]
+
+Seeded virtual users against a server: ops/sec, p50/p95/p99, hit rate.
+
+options:
+  --url U             server base URL (default: http://127.0.0.1:7878)
+  --users N           virtual users (default: 4)
+  --ops N             HTTP ops per user (default: 32)
+  --seed S            master seed (default: 1)
+  --bench A,B,...     codes submissions draw from (default: VA,MM,BS)
+  --require-hits      fail (exit 1) unless the run's store hit rate
+                      is above zero
+  --csv               print one CSV row instead of the text summary
+                      (header: see scripts/serve_bench.sh)";
+
+pub const DRILL_USAGE: &str = "usage: ds drill [options]
+
+Crash drill: kills a real server mid-sweep at a seeded point, restarts
+it, and proves zero job loss, no double-compute, and byte-identical
+results.
+
+options:
   --bench A,B,...     sweep to drill (default: VA,MM,BS); each bench
                       contributes a CCSM+DS task pair
   --input small|big   input size (default: small)
@@ -131,89 +168,7 @@ drill options:
                       the crashing server runs 1 so the crash point
                       is exact)
   --dir DIR           scratch directory (default: target/ds-drill)
-  --keep              keep the scratch directory for inspection
-
-stress options:
-  --url U             server base URL (default: http://127.0.0.1:7878)
-  --users N           virtual users (default: 4)
-  --ops N             HTTP ops per user (default: 32)
-  --seed S            master seed (default: 1)
-  --bench A,B,...     codes submissions draw from (default: VA,MM,BS)
-  --require-hits      fail (exit 1) unless the run's store hit rate
-                      is above zero
-  --csv               print one CSV row instead of the text summary
-                      (header: see scripts/serve_bench.sh)
-
-exit codes: 0 ok; 1 failure or audit violation; 2 usage;
-7 submission explicitly rejected by admission control (429)";
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("dsserve: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("dsserve: {message}");
-    std::process::exit(1);
-}
-
-/// Tiny flag cursor over a subcommand's arguments.
-struct Args {
-    args: Vec<String>,
-    at: usize,
-}
-
-impl Args {
-    fn new(args: &[String]) -> Self {
-        Args {
-            args: args.to_vec(),
-            at: 0,
-        }
-    }
-
-    fn next(&mut self) -> Option<String> {
-        let arg = self.args.get(self.at).cloned();
-        if arg.is_some() {
-            self.at += 1;
-        }
-        arg
-    }
-
-    fn value(&mut self, flag: &str) -> String {
-        self.next()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    }
-
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> T {
-        let v = self.value(flag);
-        v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag} needs {what}, got {v:?}")))
-    }
-}
-
-fn parse_codes(value: &str) -> Vec<String> {
-    value
-        .split(',')
-        .filter(|c| !c.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn parse_input_flag(value: &str) -> InputSize {
-    match value {
-        "small" => InputSize::Small,
-        "big" => InputSize::Big,
-        other => usage_error(&format!("unknown input size {other:?}")),
-    }
-}
-
-fn parse_mode_flag(value: &str) -> Mode {
-    match value {
-        "ds" => Mode::DirectStore,
-        "ds-only" => Mode::DirectStoreOnly,
-        other => usage_error(&format!("unknown mode {other:?} (ds or ds-only)")),
-    }
-}
+  --keep              keep the scratch directory for inspection";
 
 /// SIGTERM/SIGINT handling without any dependency: a `signal(2)`
 /// handler flips an atomic flag; a monitor thread polls it and drains
@@ -245,26 +200,8 @@ mod signals {
     }
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        None => usage_error("missing command"),
-        Some("--help" | "-h" | "help") => println!("{USAGE}"),
-        Some("--check") => run_check(),
-        Some("serve") => cmd_serve(&argv[1..]),
-        Some("submit") => cmd_submit(&argv[1..]),
-        Some("status") => cmd_job_doc(&argv[1..], false),
-        Some("results") => cmd_job_doc(&argv[1..], true),
-        Some("watch") => cmd_watch(&argv[1..]),
-        Some("metrics") => cmd_metrics(&argv[1..]),
-        Some("stress") => cmd_stress(&argv[1..]),
-        Some("drill") => cmd_drill(&argv[1..]),
-        Some("shutdown") => cmd_shutdown(&argv[1..]),
-        Some(other) => usage_error(&format!("unknown command {other:?}")),
-    }
-}
-
-fn cmd_serve(rest: &[String]) {
+/// `ds serve`.
+pub fn serve(mut args: Args) -> Parsed<()> {
     let mut options = ServeOptions {
         cache_dir: Some("results".into()),
         ..ServeOptions::default()
@@ -272,49 +209,46 @@ fn cmd_serve(rest: &[String]) {
     let mut port = 7878u16;
     let mut addr: Option<String> = None;
     let mut port_file: Option<String> = None;
-    let mut args = Args::new(rest);
+    let mut probe_level = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--port" => port = args.parsed("--port", "a port number"),
-            "--addr" => addr = Some(args.value("--addr")),
-            "--port-file" => port_file = Some(args.value("--port-file")),
-            "--workers" => options.workers = args.parsed("--workers", "a positive integer"),
-            "--handlers" => options.handlers = args.parsed("--handlers", "a positive integer"),
+            "--port" => port = args.parsed("--port", "a port number")?,
+            "--addr" => addr = Some(args.value("--addr")?),
+            "--port-file" => port_file = Some(args.value("--port-file")?),
+            "--workers" => options.workers = args.parsed("--workers", "a positive integer")?,
+            "--handlers" => options.handlers = args.parsed("--handlers", "a positive integer")?,
             "--queue-limit" => {
-                options.queue_limit = args.parsed("--queue-limit", "a positive integer");
+                options.queue_limit = args.parsed("--queue-limit", "a positive integer")?;
             }
             "--timeout" => {
-                let secs: u64 = args.parsed("--timeout", "positive seconds");
+                let secs: u64 = args.parsed("--timeout", "positive seconds")?;
                 options.task_timeout = Some(Duration::from_secs(secs.max(1)));
             }
-            "--cache" => options.cache_dir = Some(args.value("--cache").into()),
+            "--cache" => options.cache_dir = Some(args.value("--cache")?.into()),
             "--no-cache" => options.cache_dir = None,
             "--no-journal" => options.journal = false,
             "--crash-after-tasks" => {
                 options.crash_after_tasks =
-                    Some(args.parsed("--crash-after-tasks", "a positive task count"));
+                    Some(args.parsed("--crash-after-tasks", "a positive task count")?);
             }
-            "--probe-level" => {
-                let v = args.value("--probe-level");
-                // Process-global; set before any worker simulates. The
-                // disk store refuses shed-level reports, so the shared
-                // cache never sees their empty stage/lens sections.
-                let level = ds_probe::ProbeLevel::parse(&v)
-                    .unwrap_or_else(|| usage_error(&format!("unknown probe level {v:?}")));
-                ds_probe::prof::set_level(level);
-            }
+            "--probe-level" => probe_level = Some(args.probe_level()?),
             "--verbose" => options.verbose = true,
             "--log-format" => {
-                let v = args.value("--log-format");
-                options.log_format = ds_serve::server::LogFormat::parse(&v)
-                    .unwrap_or_else(|| usage_error(&format!("unknown log format {v:?}")));
+                options.log_format = args.with(
+                    "--log-format",
+                    "log format",
+                    ds_serve::server::LogFormat::parse,
+                )?;
             }
-            "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => usage_error(&format!("unknown serve option {other:?}")),
+            "--help" => return Err(Cli::Help),
+            other => return unknown(other),
         }
+    }
+    if let Some(level) = probe_level {
+        // Process-global; set before any worker simulates. The disk
+        // store refuses shed-level reports, so the shared cache never
+        // sees their empty stage/lens sections.
+        ds_probe::prof::set_level(level);
     }
     let bind = addr.unwrap_or_else(|| format!("127.0.0.1:{port}"));
     let server =
@@ -323,11 +257,11 @@ fn cmd_serve(rest: &[String]) {
     let recovery = server.state().recovery;
     if recovery.jobs > 0 {
         eprintln!(
-            "dsserve: journal replay recovered {} job(s), {} task(s) ({} already done)",
+            "ds serve: journal replay recovered {} job(s), {} task(s) ({} already done)",
             recovery.jobs, recovery.tasks, recovery.tasks_done
         );
     }
-    eprintln!("dsserve: serving on http://{bound} (POST /shutdown to stop)");
+    eprintln!("ds serve: serving on http://{bound} (POST /shutdown to stop)");
     if let Some(path) = port_file {
         std::fs::write(&path, format!("{bound}\n"))
             .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
@@ -338,7 +272,7 @@ fn cmd_serve(rest: &[String]) {
         let state = std::sync::Arc::clone(server.state());
         std::thread::spawn(move || loop {
             if signals::STOP.load(std::sync::atomic::Ordering::SeqCst) {
-                eprintln!("dsserve: signal received; draining and shutting down");
+                eprintln!("ds serve: signal received; draining and shutting down");
                 ds_serve::server::request_shutdown(&state);
                 return;
             }
@@ -346,17 +280,14 @@ fn cmd_serve(rest: &[String]) {
         });
     }
     server.wait();
-    eprintln!("dsserve: shut down cleanly");
-}
-
-/// Common client flags: `--url` plus whatever `extra` consumes.
-fn parse_url(args: &mut Args, arg: &str) -> Option<String> {
-    (arg == "--url").then(|| args.value("--url"))
+    eprintln!("ds serve: shut down cleanly");
+    Ok(())
 }
 
 const DEFAULT_URL: &str = "http://127.0.0.1:7878";
 
-fn cmd_submit(rest: &[String]) {
+/// `ds submit`.
+pub fn submit(mut args: Args) -> Parsed<()> {
     let mut url = DEFAULT_URL.to_string();
     let mut codes: Option<Vec<String>> = None;
     let mut input = InputSize::Small;
@@ -366,47 +297,37 @@ fn cmd_submit(rest: &[String]) {
     let mut pulse: Option<u64> = None;
     let mut wait_timeout = Duration::from_secs(900);
     let mut policy = RetryPolicy::default();
-    let mut args = Args::new(rest);
     while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
-            continue;
-        }
         match arg.as_str() {
-            "--bench" => codes = Some(parse_codes(&args.value("--bench"))),
-            "--input" => input = parse_input_flag(&args.value("--input")),
-            "--mode" => mode = parse_mode_flag(&args.value("--mode")),
-            "--pulse" => {
-                let window: u64 = args.parsed("--pulse", "a window length in cycles");
-                if window == 0 {
-                    usage_error("--pulse needs a window of at least 1 cycle");
-                }
-                pulse = Some(window);
-            }
+            "--url" => url = args.value("--url")?,
+            "--bench" => codes = Some(args.codes()?),
+            "--input" => input = args.input()?,
+            "--mode" => mode = args.sweep_mode()?,
+            "--pulse" => pulse = Some(args.positive("--pulse")?),
             "--no-wait" => no_wait = true,
             "--expect-cached" => expect_cached = true,
             "--wait-timeout" => {
                 wait_timeout =
-                    Duration::from_secs(args.parsed("--wait-timeout", "positive seconds"));
+                    Duration::from_secs(args.parsed("--wait-timeout", "positive seconds")?);
             }
-            "--retries" => policy.attempts = args.parsed("--retries", "a positive integer"),
+            "--retries" => policy.attempts = args.parsed("--retries", "a positive integer")?,
             "--retry-busy" => policy.retry_busy = true,
-            other => usage_error(&format!("unknown submit option {other:?}")),
+            other => return unknown(other),
         }
     }
     let body = client::sweep_body_pulsed(codes.as_deref(), input, mode, pulse);
     let (id, tasks) = match client::submit_with_retry(&url, &body, &policy) {
         Ok(SubmitAnswer::Accepted { id, tasks }) => (id, tasks),
         Ok(SubmitAnswer::Rejected { message }) => {
-            eprintln!("dsserve: submission rejected: {message}");
+            eprintln!("ds submit: submission rejected: {message}");
             std::process::exit(7);
         }
         Err(e) => fail(&e),
     };
-    eprintln!("dsserve: job {id} accepted ({tasks} tasks)");
+    eprintln!("ds submit: job {id} accepted ({tasks} tasks)");
     if no_wait {
         println!("{id}");
-        return;
+        return Ok(());
     }
     client::wait_done(&url, id, wait_timeout).unwrap_or_else(|e| fail(&e));
     let results = client::fetch_results(&url, id).unwrap_or_else(|e| fail(&e));
@@ -418,7 +339,7 @@ fn cmd_submit(rest: &[String]) {
         .filter(|p| matches!(p.as_str(), "hit" | "coalesced"))
         .count();
     eprintln!(
-        "dsserve: job {id} done; {cached}/{} tasks served from cache",
+        "ds submit: job {id} done; {cached}/{} tasks served from cache",
         out.provenances.len()
     );
     if expect_cached && cached != out.provenances.len() {
@@ -428,25 +349,53 @@ fn cmd_submit(rest: &[String]) {
         ));
     }
     println!("{}", out.doc);
+    Ok(())
 }
 
-fn cmd_job_doc(rest: &[String], results: bool) {
+/// `--url U` and the job id of `ds status|results|watch`.
+fn url_and_job(mut args: Args) -> Parsed<(String, u64)> {
     let mut url = DEFAULT_URL.to_string();
     let mut job: Option<u64> = None;
-    let mut args = Args::new(rest);
     while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
+        if arg == "--url" {
+            url = args.value("--url")?;
             continue;
         }
         match arg.parse::<u64>() {
             Ok(id) => job = Some(id),
-            Err(_) => usage_error(&format!("unknown option {arg:?} (expected a job id)")),
+            Err(_) => return usage(format!("unknown argument {arg:?} (expected a job id)")),
         }
     }
-    let Some(id) = job else {
-        usage_error("missing job id");
-    };
+    match job {
+        Some(id) => Ok((url, id)),
+        None => usage("missing job id"),
+    }
+}
+
+/// `--url U`, the one flag of `ds metrics|shutdown`.
+fn url_only(mut args: Args) -> Parsed<String> {
+    let mut url = DEFAULT_URL.to_string();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--url" => url = args.value("--url")?,
+            other => return unknown(other),
+        }
+    }
+    Ok(url)
+}
+
+/// `ds status`.
+pub fn status(args: Args) -> Parsed<()> {
+    job_doc(args, false)
+}
+
+/// `ds results`.
+pub fn results(args: Args) -> Parsed<()> {
+    job_doc(args, true)
+}
+
+fn job_doc(args: Args, results: bool) -> Parsed<()> {
+    let (url, id) = url_and_job(args)?;
     let path = if results {
         format!("/jobs/{id}/results")
     } else {
@@ -458,25 +407,12 @@ fn cmd_job_doc(rest: &[String], results: bool) {
     if status != 200 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn cmd_watch(rest: &[String]) {
-    let mut url = DEFAULT_URL.to_string();
-    let mut job: Option<u64> = None;
-    let mut args = Args::new(rest);
-    while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
-            continue;
-        }
-        match arg.parse::<u64>() {
-            Ok(id) => job = Some(id),
-            Err(_) => usage_error(&format!("unknown option {arg:?} (expected a job id)")),
-        }
-    }
-    let Some(id) = job else {
-        usage_error("missing job id");
-    };
+/// `ds watch`.
+pub fn watch(args: Args) -> Parsed<()> {
+    let (url, id) = url_and_job(args)?;
     // Live sparkline state: `pulse-window` events accumulate per task
     // and the task's `task-done` line flushes them as a dashboard
     // block on stderr — stdout stays pure NDJSON for pipelines.
@@ -510,6 +446,7 @@ fn cmd_watch(rest: &[String]) {
     if status != 200 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// One completed pulsed task's live dashboard: a sparkline per
@@ -517,7 +454,7 @@ fn cmd_watch(rest: &[String]) {
 fn render_watch_sparklines(task: u64, rows: &[[u64; 3]], anomalies: u64) {
     const SERIES: [&str; 3] = ["sm_ops", "pushes_retried", "queue_depth"];
     eprintln!(
-        "dsserve: task {task} pulse ({} streamed window(s), {anomalies} anomaly(ies)):",
+        "ds watch: task {task} pulse ({} streamed window(s), {anomalies} anomaly(ies)):",
         rows.len()
     );
     for (i, name) in SERIES.iter().enumerate() {
@@ -526,43 +463,34 @@ fn render_watch_sparklines(task: u64, rows: &[[u64; 3]], anomalies: u64) {
     }
 }
 
-fn cmd_metrics(rest: &[String]) {
-    let mut url = DEFAULT_URL.to_string();
-    let mut args = Args::new(rest);
-    while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
-            continue;
-        }
-        usage_error(&format!("unknown metrics option {arg:?}"));
-    }
+/// `ds metrics`.
+pub fn metrics(args: Args) -> Parsed<()> {
+    let url = url_only(args)?;
     let (status, text) = client_request(&url, "GET", "/metrics", None, client::CLIENT_TIMEOUT)
         .unwrap_or_else(|e| fail(&e));
     print!("{text}");
     if status != 200 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn cmd_stress(rest: &[String]) {
+/// `ds stress`.
+pub fn stress(mut args: Args) -> Parsed<()> {
     let mut url = DEFAULT_URL.to_string();
     let mut options = StressOptions::default();
     let mut require_hits = false;
     let mut csv = false;
-    let mut args = Args::new(rest);
     while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
-            continue;
-        }
         match arg.as_str() {
-            "--users" => options.users = args.parsed("--users", "a positive integer"),
-            "--ops" => options.ops = args.parsed("--ops", "a positive integer"),
-            "--seed" => options.seed = args.parsed("--seed", "an integer"),
-            "--bench" => options.codes = parse_codes(&args.value("--bench")),
+            "--url" => url = args.value("--url")?,
+            "--users" => options.users = args.parsed("--users", "a positive integer")?,
+            "--ops" => options.ops = args.parsed("--ops", "a positive integer")?,
+            "--seed" => options.seed = args.parsed("--seed", "an integer")?,
+            "--bench" => options.codes = args.codes()?,
             "--require-hits" => require_hits = true,
             "--csv" => csv = true,
-            other => usage_error(&format!("unknown stress option {other:?}")),
+            other => return unknown(other),
         }
     }
     let summary = run_stress(&url, &options).unwrap_or_else(|e| fail(&e));
@@ -580,9 +508,10 @@ fn cmd_stress(rest: &[String]) {
     if require_hits && !(summary.store_requests > 0 && summary.store_hits > 0) {
         fail("--require-hits: the run produced no store cache hits");
     }
+    Ok(())
 }
 
-/// Spawns a real `dsserve serve` child (this same binary) on an
+/// Spawns a real `ds serve` child (this same binary) on an
 /// ephemeral port, optionally armed to crash after `crash_after`
 /// completed tasks. Stderr is inherited so the child's lifecycle
 /// lines narrate the drill.
@@ -593,7 +522,7 @@ fn spawn_server(
     crash_after: Option<u64>,
 ) -> std::process::Child {
     let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate the dsserve binary: {e}")));
+        .unwrap_or_else(|e| fail(&format!("cannot locate the ds binary: {e}")));
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("serve")
         .arg("--port")
@@ -640,7 +569,8 @@ fn wait_port(port_file: &Path, child: &mut std::process::Child) -> String {
 /// zero job loss (original id still polls), no double-compute (tasks
 /// done before the crash rehydrate as store hits), and byte-identical
 /// folded results.
-fn cmd_drill(rest: &[String]) {
+/// `ds drill`.
+pub fn drill(mut args: Args) -> Parsed<()> {
     let mut codes: Vec<String> = ["VA", "MM", "BS"].map(str::to_string).to_vec();
     let mut input = InputSize::Small;
     let mut mode = Mode::DirectStore;
@@ -648,31 +578,27 @@ fn cmd_drill(rest: &[String]) {
     let mut workers = 2usize;
     let mut dir = PathBuf::from("target/ds-drill");
     let mut keep = false;
-    let mut args = Args::new(rest);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => codes = parse_codes(&args.value("--bench")),
-            "--input" => input = parse_input_flag(&args.value("--input")),
-            "--mode" => mode = parse_mode_flag(&args.value("--mode")),
-            "--seed" => seed = args.parsed("--seed", "an integer"),
-            "--workers" => workers = args.parsed("--workers", "a positive integer"),
-            "--dir" => dir = args.value("--dir").into(),
+            "--bench" => codes = args.codes()?,
+            "--input" => input = args.input()?,
+            "--mode" => mode = args.sweep_mode()?,
+            "--seed" => seed = args.parsed("--seed", "an integer")?,
+            "--workers" => workers = args.parsed("--workers", "a positive integer")?,
+            "--dir" => dir = args.value("--dir")?.into(),
             "--keep" => keep = true,
-            other => usage_error(&format!("unknown drill option {other:?}")),
+            other => return unknown(other),
         }
     }
     // Each bench submits a CCSM+DS task pair, so even one bench gives
     // the drill a mid-sweep crash point.
     let total = 2 * codes.len() as u64;
-    if total == 0 {
-        usage_error("drill needs at least one bench (--bench A,B,...)");
-    }
     let mut ok = true;
     let mut check = |name: &str, pass: bool, detail: &str| {
         if pass {
-            eprintln!("dsserve drill: ok   {name}");
+            eprintln!("ds drill: ok   {name}");
         } else {
-            eprintln!("dsserve drill: FAIL {name}: {detail}");
+            eprintln!("ds drill: FAIL {name}: {detail}");
         }
         ok &= pass;
     };
@@ -689,7 +615,7 @@ fn cmd_drill(rest: &[String]) {
 
     // Phase 1: a 1-worker server (so the crash point is exact) armed
     // to abort() — no destructors, no flushes; the worst honest crash.
-    eprintln!("dsserve drill: phase 1 — crash after {k}/{total} task(s)");
+    eprintln!("ds drill: phase 1 — crash after {k}/{total} task(s)");
     let mut child = spawn_server(&cache, &port_file, 1, Some(k));
     let url = wait_port(&port_file, &mut child);
     let id = match client::submit(&url, &body) {
@@ -727,7 +653,7 @@ fn cmd_drill(rest: &[String]) {
     // Phase 2: restart on the same cache directory; the journal
     // replays, the job keeps its id, and pre-crash tasks rehydrate
     // from the disk cache instead of recomputing.
-    eprintln!("dsserve drill: phase 2 — restart and recover");
+    eprintln!("ds drill: phase 2 — restart and recover");
     let _ = std::fs::remove_file(&port_file);
     let mut child = spawn_server(&cache, &port_file, workers, None);
     let url = wait_port(&port_file, &mut child);
@@ -789,7 +715,7 @@ fn cmd_drill(rest: &[String]) {
     // Phase 3: the same sweep again is pure cache and folds to the
     // exact same bytes — a crash plus recovery is invisible in the
     // results.
-    eprintln!("dsserve drill: phase 3 — resubmission is pure cache, byte-identical");
+    eprintln!("ds drill: phase 3 — resubmission is pure cache, byte-identical");
     let id2 = match client::submit(&url, &body) {
         Ok(SubmitAnswer::Accepted { id, .. }) => id,
         other => fail(&format!("drill resubmit: unexpected answer {other:?}")),
@@ -821,7 +747,7 @@ fn cmd_drill(rest: &[String]) {
     }
     let _ = child.wait();
     if keep {
-        eprintln!("dsserve drill: scratch kept at {}", dir.display());
+        eprintln!("ds drill: scratch kept at {}", dir.display());
     } else {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -829,21 +755,15 @@ fn cmd_drill(rest: &[String]) {
         fail("crash drill failed");
     }
     eprintln!(
-        "dsserve drill: passed — job {id} survived the crash; \
+        "ds drill: passed — job {id} survived the crash; \
          {done}/{total} task(s) rehydrated; results byte-identical"
     );
+    Ok(())
 }
 
-fn cmd_shutdown(rest: &[String]) {
-    let mut url = DEFAULT_URL.to_string();
-    let mut args = Args::new(rest);
-    while let Some(arg) = args.next() {
-        if let Some(u) = parse_url(&mut args, &arg) {
-            url = u;
-            continue;
-        }
-        usage_error(&format!("unknown shutdown option {arg:?}"));
-    }
+/// `ds shutdown`.
+pub fn shutdown(args: Args) -> Parsed<()> {
+    let url = url_only(args)?;
     match client_request(
         &url,
         "POST",
@@ -851,22 +771,26 @@ fn cmd_shutdown(rest: &[String]) {
         Some("{}"),
         client::CLIENT_TIMEOUT,
     ) {
-        Ok((200, _)) => eprintln!("dsserve: shutdown requested"),
+        Ok((200, _)) => eprintln!("ds shutdown: shutdown requested"),
         Ok((status, text)) => fail(&format!("POST /shutdown answered {status}: {text}")),
         Err(e) => fail(&e),
     }
+    Ok(())
 }
 
-/// The self-audit: admission control, store reconciliation, cache
-/// determinism, and clean shutdown — all against a real loopback
-/// server, no external state touched.
-fn run_check() {
+/// `ds serve --check`, the self-audit: admission control, store
+/// reconciliation, cache determinism, and clean shutdown — all against
+/// a real loopback server, no external state touched.
+pub fn check(mut args: Args) -> Parsed<()> {
+    if let Some(arg) = args.next() {
+        return unknown(&arg);
+    }
     let mut failures = 0usize;
     let mut check = |name: &str, ok: bool, detail: &str| {
         if ok {
-            eprintln!("dsserve --check: ok   {name}");
+            eprintln!("ds serve --check: ok   {name}");
         } else {
-            eprintln!("dsserve --check: FAIL {name}: {detail}");
+            eprintln!("ds serve --check: FAIL {name}: {detail}");
             failures += 1;
         }
     };
@@ -1034,5 +958,6 @@ fn run_check() {
     if failures > 0 {
         fail(&format!("{failures} audit check(s) failed"));
     }
-    eprintln!("dsserve --check: all checks passed");
+    eprintln!("ds serve --check: all checks passed");
+    Ok(())
 }

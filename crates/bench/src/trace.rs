@@ -1,4 +1,4 @@
-//! `dstrace` — the single-run tracing CLI.
+//! `ds trace` — the single-run tracing subcommand.
 //!
 //! Runs one benchmark with the in-memory tracer attached and renders
 //! the recorded stream in the requested format: raw JSONL events, a
@@ -6,16 +6,18 @@
 //! windowed epoch series as CSV, or a human-readable latency summary.
 //!
 //! ```text
-//! dstrace --bench VA [--input small|big] [--mode ccsm|ds|ds-only]
-//!         [--format summary|jsonl|chrome|epochs] [--window N]
-//!         [--out FILE] [--check]
+//! ds trace --bench VA [--input small|big] [--mode ccsm|ds|ds-only]
+//!          [--format summary|jsonl|chrome|epochs] [--window N]
+//!          [--out FILE] [--check]
 //! ```
 
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
 use ds_probe::{chrome, jsonl, render_epoch_csv, BufferTracer, PulseConfig};
 use ds_runner::json;
 
-const USAGE: &str = "usage: dstrace --bench CODE [options]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds trace --bench CODE [options]
 
 Runs one benchmark with tracing enabled and writes the trace.
 
@@ -46,101 +48,6 @@ enum Format {
     Jsonl,
     Chrome,
     Epochs,
-}
-
-struct Options {
-    code: String,
-    input: InputSize,
-    mode: Mode,
-    format: Format,
-    window: Option<u64>,
-    out: Option<String>,
-    check: bool,
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("dstrace: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut code = None;
-    let mut opts = Options {
-        code: String::new(),
-        input: InputSize::Small,
-        mode: Mode::DirectStore,
-        format: Format::Summary,
-        window: None,
-        out: None,
-        check: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                code = Some(v.clone());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode needs a value"));
-                opts.mode = match v.as_str() {
-                    "ccsm" => Mode::Ccsm,
-                    "ds" | "direct" => Mode::DirectStore,
-                    "ds-only" => Mode::DirectStoreOnly,
-                    other => usage_error(&format!("unknown mode {other:?}")),
-                };
-            }
-            "--format" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs a value"));
-                opts.format = match v.as_str() {
-                    "summary" => Format::Summary,
-                    "jsonl" => Format::Jsonl,
-                    "chrome" => Format::Chrome,
-                    "epochs" => Format::Epochs,
-                    other => usage_error(&format!("unknown format {other:?}")),
-                };
-            }
-            "--window" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--window needs a value"));
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => opts.window = Some(n),
-                    _ => usage_error(&format!("--window needs a positive integer, got {v:?}")),
-                }
-            }
-            "--out" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a value"));
-                opts.out = Some(v.clone());
-            }
-            "--check" => opts.check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
-        }
-    }
-    opts.code = code.unwrap_or_else(|| usage_error("--bench is required"));
-    opts
 }
 
 /// `--check` exit code for an empty trace: distinct from validation
@@ -253,66 +160,85 @@ fn summary(report: &RunReport, events: usize) -> String {
     s
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(mut args: Args) -> Parsed<()> {
+    let mut code = None;
+    let mut input = InputSize::Small;
+    let mut mode = Mode::DirectStore;
+    let mut format = Format::Summary;
+    let mut window: Option<u64> = None;
+    let mut out: Option<String> = None;
+    let mut check = false;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => code = Some(args.value("--bench")?),
+            "--input" => input = args.input()?,
+            "--mode" => mode = args.run_mode()?,
+            "--format" => {
+                format = args.choice(
+                    "--format",
+                    "format",
+                    &[
+                        ("summary", Format::Summary),
+                        ("jsonl", Format::Jsonl),
+                        ("chrome", Format::Chrome),
+                        ("epochs", Format::Epochs),
+                    ],
+                )?;
+            }
+            "--window" => window = Some(args.positive("--window")?),
+            "--out" => out = Some(args.value("--out")?),
+            "--check" => check = true,
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
+        }
+    }
+    let Some(code) = code else {
+        return usage("--bench is required");
+    };
 
-    let bench = ds_workloads::catalog::by_code(&opts.code).unwrap_or_else(|| {
-        eprintln!(
-            "dstrace: unknown benchmark code {:?} (see Table II)",
-            opts.code
-        );
-        std::process::exit(1);
-    });
+    let bench = ds_workloads::catalog::by_code(&code)
+        .unwrap_or_else(|| fail(&format!("unknown benchmark code {code:?} (see Table II)")));
 
-    let window = opts
-        .window
-        .or((opts.format == Format::Epochs).then_some(1000));
+    let window = window.or((format == Format::Epochs).then_some(1000));
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
     let (result, probes) = pipeline.run(
         &bench,
-        opts.input,
-        opts.mode,
+        input,
+        mode,
         BufferTracer::new(),
         &FaultPlan::default(),
         window.map(PulseConfig::with_window),
     );
-    let report = result.unwrap_or_else(|e| {
-        eprintln!("dstrace: {e}");
-        std::process::exit(1);
-    });
+    let report = result.unwrap_or_else(|e| fail(&e.to_string()));
     let events = probes.tracer.into_events();
 
-    let text = match opts.format {
+    let text = match format {
         Format::Summary => summary(&report, events.len()),
         Format::Jsonl => jsonl::render(&events),
         Format::Chrome => chrome::render_with_pulse(&events, report.pulse.as_ref()),
         Format::Epochs => render_epoch_csv(report.epoch_window, &report.epochs),
     };
 
-    if opts.check {
-        if let Err((code, e)) = check_trace(opts.format, events.len(), &text) {
-            eprintln!("dstrace: output failed validation: {e}");
+    if check {
+        if let Err((code, e)) = check_trace(format, events.len(), &text) {
+            eprintln!("ds trace: output failed validation: {e}");
             std::process::exit(code);
         }
     }
 
-    match &opts.out {
+    match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("dstrace: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+            std::fs::write(path, &text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
             eprintln!(
-                "dstrace: {} {} {}: {} event(s) -> {path}",
-                opts.code,
-                opts.input,
+                "ds trace: {code} {input} {}: {} event(s) -> {path}",
                 report.mode,
                 events.len(),
             );
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! `dsxray` — per-transaction cycle accounting and stall attribution.
+//! `ds xray` — per-transaction cycle accounting and stall attribution.
 //!
 //! Runs one benchmark under both CCSM and direct store with the
 //! in-memory tracer attached, stitches the trace stream back into
@@ -9,14 +9,17 @@
 //! the report prints both lines so the invariant is visible.
 //!
 //! ```text
-//! dsxray --bench VA [--input small|big] [--top K] [--check]
-//!        [--out FILE]
+//! ds xray --bench VA [--input small|big] [--top K] [--check]
+//!         [--out FILE]
 //! ```
 
+use ds_bench::pct;
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
 use ds_probe::{xray, BufferTracer, Stage, StageBreakdown, TxnPath};
 
-const USAGE: &str = "usage: dsxray --bench CODE [options]
+use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+
+pub const USAGE: &str = "usage: ds xray --bench CODE [options]
 
 Runs one benchmark under both CCSM and direct store and prints a
 side-by-side per-stage stall stack plus the slowest critical paths.
@@ -30,75 +33,7 @@ options:
   --out FILE         write the report to FILE instead of stdout
   --help             show this help";
 
-struct Options {
-    code: String,
-    input: InputSize,
-    top: usize,
-    check: bool,
-    out: Option<String>,
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("dsxray: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut code = None;
-    let mut opts = Options {
-        code: String::new(),
-        input: InputSize::Small,
-        top: 3,
-        check: false,
-        out: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--bench needs a value"));
-                code = Some(v.clone());
-            }
-            "--input" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--input needs a value"));
-                opts.input = match v.as_str() {
-                    "small" => InputSize::Small,
-                    "big" => InputSize::Big,
-                    other => usage_error(&format!("unknown input size {other:?}")),
-                };
-            }
-            "--top" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--top needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) => opts.top = n,
-                    _ => usage_error(&format!("--top needs a non-negative integer, got {v:?}")),
-                }
-            }
-            "--check" => opts.check = true,
-            "--out" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a value"));
-                opts.out = Some(v.clone());
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
-        }
-    }
-    opts.code = code.unwrap_or_else(|| usage_error("--bench is required"));
-    opts
-}
-
-/// Everything `dsxray` derives from one instrumented run.
+/// Everything `ds xray` derives from one instrumented run.
 struct ModeView {
     report: RunReport,
     records: Vec<xray::TxnRecord>,
@@ -106,10 +41,8 @@ struct ModeView {
 }
 
 fn run_mode(code: &str, input: InputSize, mode: Mode) -> ModeView {
-    let bench = ds_workloads::catalog::by_code(code).unwrap_or_else(|| {
-        eprintln!("dsxray: unknown benchmark code {code:?} (see Table II)");
-        std::process::exit(1);
-    });
+    let bench = ds_workloads::catalog::by_code(code)
+        .unwrap_or_else(|| fail(&format!("unknown benchmark code {code:?} (see Table II)")));
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());
     let (result, probes) = pipeline.run(
         &bench,
@@ -119,24 +52,13 @@ fn run_mode(code: &str, input: InputSize, mode: Mode) -> ModeView {
         &FaultPlan::default(),
         None,
     );
-    let report = result.unwrap_or_else(|e| {
-        eprintln!("dsxray: {e}");
-        std::process::exit(1);
-    });
+    let report = result.unwrap_or_else(|e| fail(&e.to_string()));
     let records = xray::stitch(probes.tracer.events());
     let stitched = xray::breakdown(&records);
     ModeView {
         report,
         records,
         stitched,
-    }
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
     }
 }
 
@@ -355,18 +277,35 @@ fn check_ccsm_quiescence(view: &ModeView) -> Vec<String> {
     errs
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+pub fn main(mut args: Args) -> Parsed<()> {
+    let mut code = None;
+    let mut input = InputSize::Small;
+    let mut top = 3;
+    let mut check = false;
+    let mut out: Option<String> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => code = Some(args.value("--bench")?),
+            "--input" => input = args.input()?,
+            "--top" => top = args.parsed("--top", "a non-negative integer")?,
+            "--check" => check = true,
+            "--out" => out = Some(args.value("--out")?),
+            "--help" | "-h" => return Err(Cli::Help),
+            other => return unknown(other),
+        }
+    }
+    let Some(code) = code else {
+        return usage("--bench is required");
+    };
 
-    let ccsm = run_mode(&opts.code, opts.input, Mode::Ccsm);
-    let ds = run_mode(&opts.code, opts.input, Mode::DirectStore);
+    let ccsm = run_mode(&code, input, Mode::Ccsm);
+    let ds = run_mode(&code, input, Mode::DirectStore);
 
-    let text = render(&opts.code, opts.input, &ccsm, &ds, opts.top);
+    let text = render(&code, input, &ccsm, &ds, top);
 
-    if opts.check {
+    if check {
         if traces_are_empty(&ccsm.records, &ds.records) {
-            eprintln!("dsxray: check failed: no transaction records in either mode (empty trace)");
+            eprintln!("ds xray: check failed: no transaction records in either mode (empty trace)");
             std::process::exit(EXIT_EMPTY_TRACE);
         }
         let mut errs = check_view("ccsm", &ccsm);
@@ -374,23 +313,22 @@ fn main() {
         errs.extend(check_ccsm_quiescence(&ccsm));
         if !errs.is_empty() {
             for e in &errs {
-                eprintln!("dsxray: check failed: {e}");
+                eprintln!("ds xray: check failed: {e}");
             }
             std::process::exit(1);
         }
-        eprintln!("dsxray: all accounting invariants hold");
+        eprintln!("ds xray: all accounting invariants hold");
     }
 
-    match &opts.out {
+    match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("dsxray: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("dsxray: {} {} -> {path}", opts.code, opts.input);
+            std::fs::write(path, &text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            eprintln!("ds xray: {code} {input} -> {path}");
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -96,6 +96,82 @@ impl Default for FaultPlan {
     }
 }
 
+/// Extra cycles of a `delay` fault: past the default 200-cycle ack
+/// timeout, so a delayed ack forces a retry without losing a message.
+pub const DELAY_FAULT_CYCLES: u64 = 400;
+
+/// Extra cycles of a DRAM stall fault.
+pub const DRAM_STALL_FAULT_CYCLES: u64 = 500;
+
+/// Where a one-kind fault plan injects: one of the three networks, or
+/// the DRAM banks (whose faults are always stalls).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultNet {
+    /// The dedicated direct-store push network.
+    Direct,
+    /// The CPU-side coherence network.
+    Coh,
+    /// The GPU-internal SM↔slice network.
+    Gpu,
+    /// DRAM bank stalls.
+    Dram,
+}
+
+impl FaultNet {
+    /// Every target, in the order the CLI and the job API list them.
+    pub const ALL: [FaultNet; 4] = [
+        FaultNet::Direct,
+        FaultNet::Coh,
+        FaultNet::Gpu,
+        FaultNet::Dram,
+    ];
+
+    /// The name the CLI and the job API use.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultNet::Direct => "direct",
+            FaultNet::Coh => "coh",
+            FaultNet::Gpu => "gpu",
+            FaultNet::Dram => "dram",
+        }
+    }
+
+    /// Reads a [`FaultNet::name`].
+    pub fn parse(name: &str) -> Option<FaultNet> {
+        Self::ALL.into_iter().find(|n| n.name() == name)
+    }
+}
+
+/// What a network fault does to a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The message is silently lost.
+    Drop,
+    /// The message arrives twice.
+    Dup,
+    /// The message arrives [`DELAY_FAULT_CYCLES`] late.
+    Delay,
+}
+
+impl FaultKind {
+    /// Every kind, in the order the CLI and the job API list them.
+    pub const ALL: [FaultKind; 3] = [FaultKind::Drop, FaultKind::Dup, FaultKind::Delay];
+
+    /// The name the CLI and the job API use.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::Drop => "drop",
+            FaultKind::Dup => "dup",
+            FaultKind::Delay => "delay",
+        }
+    }
+
+    /// Reads a [`FaultKind::name`].
+    pub fn parse(name: &str) -> Option<FaultKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
 /// Independent fault domains; each keeps its own sequence counter so
 /// decisions in one domain never shift the stream of another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +203,35 @@ pub enum FaultRoll {
 }
 
 impl FaultPlan {
+    /// The plan that injects one kind of fault at `rate` (per 65536)
+    /// on `net`, with the default recovery protocol. `kind` is not
+    /// read for [`FaultNet::Dram`], whose faults are stalls.
+    pub fn single(seed: u64, net: FaultNet, kind: FaultKind, rate: u16) -> FaultPlan {
+        let mut plan = FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        };
+        let rates = match net {
+            FaultNet::Direct => &mut plan.direct_net,
+            FaultNet::Coh => &mut plan.coh_net,
+            FaultNet::Gpu => &mut plan.gpu_net,
+            FaultNet::Dram => {
+                plan.dram_stall_rate = rate;
+                plan.dram_stall_cycles = DRAM_STALL_FAULT_CYCLES;
+                return plan;
+            }
+        };
+        match kind {
+            FaultKind::Drop => rates.drop = rate,
+            FaultKind::Dup => rates.dup = rate,
+            FaultKind::Delay => {
+                rates.delay = rate;
+                rates.delay_cycles = DELAY_FAULT_CYCLES;
+            }
+        }
+        plan
+    }
+
     /// True when the plan can inject at least one fault. Inactive
     /// plans must leave a run bit-identical to one with no fault layer
     /// at all.

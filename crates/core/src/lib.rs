@@ -62,7 +62,7 @@ pub mod topology;
 pub mod trace;
 
 pub use config::{Mode, SystemConfig};
-pub use fault::{FaultDomain, FaultPlan, FaultRoll, NetFaultRates, SimAbort};
+pub use fault::{FaultDomain, FaultKind, FaultNet, FaultPlan, FaultRoll, NetFaultRates, SimAbort};
 pub use pipeline::{Comparison, InputSize, Pipeline, PipelineError, Scenario, ScenarioBuild};
 pub use report::RunReport;
 pub use runtime::System;

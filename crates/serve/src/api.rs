@@ -36,7 +36,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ds_core::Scenario as _;
-use ds_core::{FaultPlan, InputSize, Mode, SystemConfig};
+use ds_core::{FaultKind, FaultNet, FaultPlan, InputSize, Mode, SystemConfig};
 use ds_probe::scope::{self, SpanKind, SpanRecord};
 use ds_runner::json::{self, Json};
 use ds_runner::report::{parse_input, report_to_json};
@@ -1002,36 +1002,17 @@ fn faults_from(faults: Option<&Json>) -> Result<Option<FaultPlan>, String> {
         .and_then(Json::as_u64)
         .ok_or("faults need a \"rate\" in 0..=65535")?;
     let rate = u16::try_from(rate).map_err(|_| "fault rate must fit 0..=65535".to_string())?;
-    let mut plan = FaultPlan {
-        seed: faults.get("seed").and_then(Json::as_u64).unwrap_or(1),
-        ..FaultPlan::default()
-    };
+    let seed = faults.get("seed").and_then(Json::as_u64).unwrap_or(1);
     let net = faults.get("net").and_then(Json::as_str).unwrap_or("direct");
     let kind = faults.get("kind").and_then(Json::as_str).unwrap_or("drop");
-    match net {
-        "dram" => {
-            plan.dram_stall_rate = rate;
-            plan.dram_stall_cycles = 500;
-        }
-        "direct" | "coh" | "gpu" => {
-            let rates = match net {
-                "direct" => &mut plan.direct_net,
-                "coh" => &mut plan.coh_net,
-                _ => &mut plan.gpu_net,
-            };
-            match kind {
-                "drop" => rates.drop = rate,
-                "dup" => rates.dup = rate,
-                "delay" => {
-                    rates.delay = rate;
-                    rates.delay_cycles = 400;
-                }
-                other => return Err(format!("unknown fault kind {other:?}")),
-            }
-        }
-        other => return Err(format!("unknown fault net {other:?}")),
-    }
-    Ok(Some(plan))
+    let net = FaultNet::parse(net).ok_or_else(|| format!("unknown fault net {net:?}"))?;
+    let kind = match FaultKind::parse(kind) {
+        Some(kind) => kind,
+        // DRAM faults are stalls: the kind is not read.
+        None if net == FaultNet::Dram => FaultKind::Drop,
+        None => return Err(format!("unknown fault kind {kind:?}")),
+    };
+    Ok(Some(FaultPlan::single(seed, net, kind, rate)))
 }
 
 #[cfg(test)]

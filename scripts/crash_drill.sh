@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# ds-anvil crash drill, external-kill variant: SIGKILL a live dsserve
+# ds-anvil crash drill, external-kill variant: SIGKILL a live ds serve
 # mid-sweep, restart it on the same cache directory, and prove the
 # recovery guarantees — zero job loss (original ids still resolve and
 # finish), no double-compute (a resubmission is pure cache), and the
 # recovery is visible on /metrics.
 #
 # The in-process variant with exact seeded crash points is
-# `dsserve drill`; this script rehearses the same machinery against a
+# `ds drill`; this script rehearses the same machinery against a
 # genuinely external `kill -9` that the process cannot see coming.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-dsserve="${DSSERVE:-./target/release/dsserve}"
-[ -x "$dsserve" ] || {
-  echo "crash_drill.sh: $dsserve missing; build it first:" >&2
-  echo "  cargo build --release -p ds-serve --bin dsserve" >&2
+ds="${DS:-./target/release/ds}"
+[ -x "$ds" ] || {
+  echo "crash_drill.sh: $ds missing; build it first:" >&2
+  echo "  cargo build --release -p ds-bench" >&2
   exit 2
 }
 
@@ -24,7 +24,7 @@ trap 'rm -rf "$scratch"' EXIT
 cache="$scratch/cache"
 
 start_server() { # $1 = port file
-  "$dsserve" serve --port 0 --port-file "$1" --cache "$cache" \
+  "$ds" serve --port 0 --port-file "$1" --cache "$cache" \
     --workers 1 --handlers 2 2>> "$scratch/serve.log" &
   server_pid=$!
   for _ in $(seq 100); do
@@ -44,14 +44,14 @@ start_server "$scratch/addr-before"
 # Two jobs of the same sweep on one worker: the second is queued
 # behind the first, so it is guaranteed unfinished when the kill
 # lands — the drill never races the worker to completion.
-ballast="$("$dsserve" submit --url "$url" --bench "$bench" \
+ballast="$("$ds" submit --url "$url" --bench "$bench" \
   --input small --mode ds --no-wait)"
-probe="$("$dsserve" submit --url "$url" --bench "$bench" \
+probe="$("$ds" submit --url "$url" --bench "$bench" \
   --input small --mode ds --no-wait)"
 # Wait for the first journaled task completion, then kill with no
 # chance to flush, drain, or say goodbye.
 for _ in $(seq 300); do
-  completed="$("$dsserve" metrics --url "$url" \
+  completed="$("$ds" metrics --url "$url" \
     | grep -o '"tasks_completed": *[0-9]*' | grep -o '[0-9]*$' || echo 0)"
   [ "${completed:-0}" -ge 1 ] && break
   sleep 0.1
@@ -73,7 +73,7 @@ grep -q "journal replay recovered" "$scratch/serve.log" || {
 for job in "$ballast" "$probe"; do
   state=""
   for _ in $(seq 1200); do
-    state="$("$dsserve" status --url "$url" "$job" \
+    state="$("$ds" status --url "$url" "$job" \
       | grep -o '"state": *"[a-z]*"' | head -n 1 || true)"
     case "$state" in *done*) break ;; esac
     sleep 0.1
@@ -88,16 +88,16 @@ for job in "$ballast" "$probe"; do
 done
 
 echo "==> crash_drill: no double-compute — resubmission is pure cache"
-"$dsserve" submit --url "$url" --bench "$bench" --input small --mode ds \
+"$ds" submit --url "$url" --bench "$bench" --input small --mode ds \
   --expect-cached > "$scratch/replay.json"
 test -s "$scratch/replay.json"
-"$dsserve" metrics --url "$url" > "$scratch/metrics.json"
+"$ds" metrics --url "$url" > "$scratch/metrics.json"
 grep -q '"recovered_jobs": 2' "$scratch/metrics.json" || {
   echo "crash_drill.sh: /metrics does not report 2 recovered jobs" >&2
   cat "$scratch/metrics.json" >&2
   exit 1
 }
 
-"$dsserve" shutdown --url "$url"
+"$ds" shutdown --url "$url"
 wait "$server_pid"
 echo "==> crash_drill: passed (jobs $ballast and $probe survived kill -9)"

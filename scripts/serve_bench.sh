@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Service throughput sweep: starts a private dsserve instance, runs
+# Service throughput sweep: starts a private ds serve instance, runs
 # the built-in stress harness at increasing concurrency levels, and
 # writes one CSV row per level (ops/sec, p50/p95/p99 op latency,
 # store hit rate). The server's in-memory store is retained across
@@ -42,22 +42,22 @@ while [ $# -gt 0 ]; do
   shift
 done
 
-echo "==> building dsserve (release)"
-cargo build --release -q -p ds-serve
+echo "==> building ds (release)"
+cargo build --release -q -p ds-bench
 
 work_dir="$(mktemp -d)"
 server_pid=""
 cleanup() {
   if [ -n "$server_pid" ] && kill -0 "$server_pid" 2>/dev/null; then
-    ./target/release/dsserve shutdown --url "$url" 2>/dev/null || true
+    ./target/release/ds shutdown --url "$url" 2>/dev/null || true
     wait "$server_pid" 2>/dev/null || true
   fi
   rm -rf "$work_dir"
 }
 trap cleanup EXIT
 
-echo "==> starting private dsserve (ephemeral port, memory-only store)"
-./target/release/dsserve serve --port 0 --port-file "$work_dir/addr" \
+echo "==> starting private ds serve (ephemeral port, memory-only store)"
+./target/release/ds serve --port 0 --port-file "$work_dir/addr" \
   --no-cache 2>"$work_dir/serve.log" &
 server_pid=$!
 for _ in $(seq 100); do
@@ -76,7 +76,7 @@ echo "users,ops,elapsed_s,ops_per_sec,rejected,errors,p50_us,p95_us,p99_us,max_u
 IFS=',' read -ra levels <<< "$users"
 for level in "${levels[@]}"; do
   echo "==> stress: $level user(s) x $ops ops"
-  ./target/release/dsserve stress --url "$url" --users "$level" \
+  ./target/release/ds stress --url "$url" --users "$level" \
     --ops "$ops" --seed "$seed" --bench "$bench" --csv >> "$out"
 done
 
