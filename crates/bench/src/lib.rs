@@ -16,10 +16,12 @@
 //! | `ds export-csv` | the full evaluation as CSV |
 //! | `ds ablate <study>` | design-choice ablations (DESIGN.md) |
 //!
-//! This library holds the shared formatting code; the subcommands are
-//! thin wrappers over the `ds-runner` orchestration subsystem
-//! (parallel execution, memoization, `DS_RUNNER_JOBS`) and the
-//! `ds-serve` job service.
+//! This library holds the shared formatting code and the [`audit`]s
+//! `ds check` runs; the subcommands are thin wrappers over the
+//! `ds-runner` orchestration subsystem (parallel execution,
+//! memoization, `DS_RUNNER_JOBS`) and the `ds-serve` job service.
+
+pub mod audit;
 
 use ds_core::{Comparison, PipelineError};
 

@@ -12,6 +12,7 @@
 
 mod ablate;
 mod chaos;
+mod check;
 mod cli;
 mod lens;
 mod paper;
@@ -44,8 +45,8 @@ const COMMANDS: &[Command] = &[
     Command("lens", "per-cacheline push efficacy and heatmaps", lens::USAGE, lens::main),
     Command("prof", "host-time self-profile of the simulator", prof::USAGE, prof::main),
     Command("pulse", "cycle-domain time series of one run", pulse::USAGE, pulse::main),
-    Command("chaos", "fault-injection sweep and audit", chaos::USAGE, chaos::main),
-    Command("scope --check", "span-tree audit over the small catalog", scope::USAGE, scope::check),
+    Command("chaos", "fault-injection sweep", chaos::USAGE, chaos::main),
+    Command("check", "every audit over the catalog in one pass", check::USAGE, check::main),
     Command("scope summary", "span-tree summary of a served job", scope::USAGE, scope::summary),
     Command("scope merge", "one Perfetto trace from job spans", scope::USAGE, scope::merge),
     Command("serve --check", "self-audit of the job service", serve::SERVE_USAGE, serve::check),
@@ -89,8 +90,8 @@ fn overview() -> String {
         s.push_str(&format!("  {name:<20} {about}\n"));
     }
     s.push_str(
-        "\nexit codes: 0 ok; 1 failure; 2 usage; 3 empty trace (trace and\n\
-         xray --check); 7 submission refused with 429 (submit)",
+        "\nexit codes: 0 ok; 1 failure; 2 usage; 3 empty trace (trace\n\
+         --check); 7 submission refused with 429 (submit)",
     );
     s
 }

@@ -1,21 +1,17 @@
-//! `ds scope` — correlated span tracing: stitch, summarize, audit.
+//! `ds scope` — correlated span tracing: stitch and summarize.
 //!
-//! The consumer side of ds-scope. Three commands:
+//! The consumer side of ds-scope. Two commands:
 //!
 //! ```text
-//! ds scope --check [--bench A,B,...] [--jobs N]
 //! ds scope summary (--job FILE | --url U JOB)
 //! ds scope merge   (--job FILE | --url U JOB) [--trace FILE]...
 //!                  [--out FILE]
 //! ```
 //!
-//! * `--check` runs the span audit over the small catalog: every
-//!   report carries a span tree, every tree telescopes (children
-//!   nest inside parents, sibling durations never exceed the
-//!   parent's), every task span reconciles queue + store + sim +
-//!   overhead against its wall clock exactly — and turning scope off
-//!   reproduces the scope-on reports bit-identically minus the tree
-//!   (the fig4 zero-overhead contract).
+//! `ds check` audits the span trees of the runner's own tasks: each
+//! telescopes, each task span reconciles exactly, and a run with
+//! scope on equals the plain run minus its tree.
+//!
 //! * `summary` prints a per-job span-tree summary with the same
 //!   telescoping and reconciliation checks, from a served
 //!   `/jobs/<id>/results` document (fetched live or read from a
@@ -34,34 +30,25 @@
 //! ds-pulse counter tracks), one thread track per task, so the causal
 //! tree reads top-down in the Perfetto UI.
 
-use ds_core::Scenario as _;
-use ds_core::{InputSize, Mode, SystemConfig};
-use ds_probe::scope::{self, SpanKind, SpanRecord, SpanTree};
+use ds_probe::scope::{SpanKind, SpanRecord, SpanTree};
 use ds_runner::json::{self, Json};
-use ds_runner::{span_from_json, sweep_tasks, Runner, TaskOutcome};
+use ds_runner::span_from_json;
 use ds_serve::client;
 
 use crate::cli::{fail, unknown, usage, Args, Parsed};
 
-pub const USAGE: &str = "usage: ds scope --check [--bench A,B,...] [--jobs N]
-       ds scope summary (--job FILE | --url U JOB)
+pub const USAGE: &str = "usage: ds scope summary (--job FILE | --url U JOB)
        ds scope merge   (--job FILE | --url U JOB) [--trace FILE]... [--out FILE]
 
 Correlated span tracing over ds-serve jobs and ds-runner reports.
 
 commands:
-  --check    audit span trees over the small catalog (exit 1 on any
-             telescoping/reconciliation violation or scope overhead)
   summary    print a job's span-tree summary with telescoping checks
   merge      stitch job spans + `ds trace` Chrome tracks (including
              ds-pulse counter tracks from --window renders) into one
              Perfetto trace
 
-check options:
-  --bench A,B,...   only these Table II codes (default: all 22)
-  --jobs N          worker threads for the audit sweep
-
-summary/merge options:
+options:
   --job FILE        read the /jobs/<id>/results document from FILE
   --url U JOB       fetch it live from server U, job id JOB
   --trace FILE      (merge) a `ds trace` Chrome JSON to fold in; repeat
@@ -70,129 +57,6 @@ summary/merge options:
                     (default: results/dsscope-trace.json)
 
 exit codes: 0 ok; 1 violation or failure; 2 usage";
-
-// ---------------------------------------------------------------- check
-
-/// `ds scope --check`.
-pub fn check(mut args: Args) -> Parsed<()> {
-    let mut codes: Option<Vec<String>> = None;
-    let mut jobs: Option<usize> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bench" => codes = Some(args.codes()?),
-            "--jobs" => jobs = Some(args.positive("--jobs")?),
-            other => return unknown(other),
-        }
-    }
-
-    let cfg = SystemConfig::paper_default();
-    let filter = |b: &ds_workloads::Benchmark| {
-        codes
-            .as_ref()
-            .is_none_or(|codes| codes.iter().any(|c| c == b.code()))
-    };
-    let tasks = sweep_tasks(&cfg, InputSize::Small, Mode::DirectStore, filter);
-    if tasks.is_empty() {
-        fail("no benchmarks selected (check --bench spelling against Table II)");
-    }
-
-    // Pass 1: scope on at full probe level — every report must carry
-    // a tree that telescopes and reconciles.
-    ds_probe::prof::set_level(ds_probe::ProbeLevel::Full);
-    scope::set_enabled(true);
-    let mut runner = Runner::new().progress(false);
-    if let Some(n) = jobs {
-        runner = runner.jobs(n);
-    }
-    let outcomes = runner.run_tasks_outcomes(&tasks);
-    let mut failures = 0usize;
-    let mut scoped_va: Option<ds_core::RunReport> = None;
-    for (task, outcome) in tasks.iter().zip(&outcomes) {
-        let label = format!("{} {} {}", task.code, task.input, task.mode);
-        let Some(report) = outcome.report() else {
-            eprintln!("ds scope: FAIL {label}: task ended {}", outcome.tag());
-            failures += 1;
-            continue;
-        };
-        let Some(tree) = &report.scope else {
-            eprintln!("ds scope: FAIL {label}: report carries no span tree with scope on");
-            failures += 1;
-            continue;
-        };
-        if let Err(e) = tree.check() {
-            eprintln!("ds scope: FAIL {label}: telescoping violation: {e}");
-            failures += 1;
-            continue;
-        }
-        let Some(task_span) = tree.find(SpanKind::Task) else {
-            eprintln!("ds scope: FAIL {label}: tree has no task span");
-            failures += 1;
-            continue;
-        };
-        let Some(rec) = tree.reconcile(task_span.id) else {
-            eprintln!("ds scope: FAIL {label}: task span does not reconcile");
-            failures += 1;
-            continue;
-        };
-        let sum = rec.queue_us + rec.store_us + rec.sim_us + rec.overhead_us;
-        if sum != rec.total_us {
-            eprintln!(
-                "ds scope: FAIL {label}: queue {} + store {} + sim {} + overhead {} \
-                 != total {}",
-                rec.queue_us, rec.store_us, rec.sim_us, rec.overhead_us, rec.total_us
-            );
-            failures += 1;
-        }
-        if task.code == "VA" && task.mode == Mode::Ccsm {
-            scoped_va = Some(report.clone());
-        }
-    }
-
-    // Pass 2: the zero-overhead contract. With scope off, a fresh
-    // runner's report must be bit-identical to the scope-on one minus
-    // the tree (Debug formatting is the repo's exhaustive-equality
-    // idiom; it covers every field).
-    scope::set_enabled(false);
-    if let Some(mut scoped) = scoped_va {
-        let task = tasks
-            .iter()
-            .find(|t| t.code == "VA" && t.mode == Mode::Ccsm)
-            .expect("VA CCSM was in the sweep");
-        let outcome = Runner::new()
-            .progress(false)
-            .run_tasks_outcomes(std::slice::from_ref(task));
-        match outcome.first().and_then(TaskOutcome::report) {
-            Some(plain) => {
-                if plain.scope.is_some() {
-                    eprintln!("ds scope: FAIL VA: report carries a span tree with scope off");
-                    failures += 1;
-                }
-                scoped.scope = None;
-                if format!("{plain:?}") != format!("{scoped:?}") {
-                    eprintln!(
-                        "ds scope: FAIL VA: scope-off report differs from scope-on minus \
-                         the tree (scope is not zero-overhead)"
-                    );
-                    failures += 1;
-                }
-            }
-            None => {
-                eprintln!("ds scope: FAIL VA: scope-off rerun produced no report");
-                failures += 1;
-            }
-        }
-    }
-
-    if failures > 0 {
-        fail(&format!("check FAILED ({failures} violation(s))"));
-    }
-    println!(
-        "dsscope: check passed for {} task(s): span trees telescope, task spans \
-         reconcile exactly, and scope-off reports are bit-identical",
-        tasks.len()
-    );
-    Ok(())
-}
 
 // ------------------------------------------------------- summary/merge
 

@@ -61,6 +61,7 @@ fn help_lists_every_subcommand_and_each_one_dispatches() {
     assert_eq!(names.len(), 37, "{names:?}");
     for name in [
         "run",
+        "check",
         "serve",
         "submit",
         "fig5",
@@ -69,6 +70,7 @@ fn help_lists_every_subcommand_and_each_one_dispatches() {
     ] {
         assert!(names.iter().any(|n| n == name), "{name} missing: {names:?}");
     }
+    assert!(!names.iter().any(|n| n == "scope --check"), "{names:?}");
     // Every listed name reaches its own parser, which names it.
     for name in &names {
         let mut args: Vec<&str> = name.split(' ').collect();
@@ -104,6 +106,16 @@ fn former_silent_fallbacks_are_usage_errors() {
     }
 }
 
+/// The audit modes `ds check` replaced.
+#[test]
+fn retired_check_modes_are_unknown_arguments() {
+    for tool in ["lens", "xray", "pulse", "prof", "chaos"] {
+        let (code, _, stderr) = ds(&[tool, "--check"]);
+        let unknown = format!("ds {tool}: unknown argument \"--check\"");
+        assert!(code == 2 && stderr.starts_with(&unknown), "{stderr}");
+    }
+}
+
 /// For each subcommand: a value flag without its value, an unknown
 /// flag, a bad enum value, and `--input both` where the subcommand
 /// takes one input size.
@@ -125,7 +137,8 @@ fn every_parser_rejects_bad_arguments() {
         &["pulse", "--bench", "VA", "--input", "both"], &["pulse", "--rate", "70000"],
         &["chaos", "--rates"], &["chaos", "--rates", "1,x"], &["chaos", "--net", "ether"],
         &["chaos", "--input", "both"], &["chaos", "--mode", "ccsm"],
-        &["scope", "--check", "--jobs"], &["scope", "--check", "--jobs", "0"],
+        &["check", "--bench", "VA,"], &["check", "--input", "huge"], &["check", "VA"],
+        &["scope", "--check"],
         &["scope", "summary", "--job"], &["scope", "summary"], &["scope", "merge", "--trace"],
         &["scope", "summary", "--trace", "t.json"],
         &["serve", "--port"], &["serve", "--log-format", "xml"],

@@ -116,7 +116,7 @@ pub struct RunReport {
     /// Host-time profile of the run (`ds_probe::prof`): wall-clock
     /// plus per-[`ds_probe::HostPhase`] self time and span counts,
     /// including the observability-tax buckets. `None` unless host
-    /// profiling was enabled (`dsprof`, `ds-gauge --trace 1`). Host time
+    /// profiling was enabled (`ds prof`, `ds check`, `ds-gauge --trace 1`). Host time
     /// never feeds back into simulated timing — two runs differing
     /// only in this field are the same simulation.
     pub host: Option<HostProfile>,

@@ -815,9 +815,8 @@ impl<T: Tracer> System<T> {
     /// transaction completed, stage sums telescope to the load-to-use
     /// histogram, every push completed or degraded, and the lens's
     /// derived aggregates match the component counters. Debug-only
-    /// (called from [`System::run`]); `dsxray --check` and
-    /// `dslens --check` re-prove the same identities from a release
-    /// build's report.
+    /// (called from [`System::run`]); `ds check` re-proves the same
+    /// identities from a release build's reports.
     fn check_fold_reconciliation(&self) {
         if let Some(stages) = &self.probes.stages {
             let load_to_use = &self.probes.latency.load_to_use;

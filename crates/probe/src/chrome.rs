@@ -32,7 +32,7 @@ use crate::{Component, NetId, TraceEvent, TraceKind};
 const PID_KERNELS: u64 = 0;
 const PID_DRAM: u64 = 1;
 /// Pulse counter tracks get their own process id, above the simulator
-/// pids (0-4) and `dsscope`'s service-span pid (5), so a `dsscope
+/// pids (0-4) and `ds scope`'s service-span pid (5), so a `ds scope
 /// merge` of a pulse-bearing trace keeps the two track families
 /// separate in the Perfetto UI.
 const PID_PULSE: u64 = 6;

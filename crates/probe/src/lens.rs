@@ -77,7 +77,7 @@ pub enum LineEventKind {
 }
 
 impl LineEventKind {
-    /// Stable lower-case name used by the `dslens` renderers.
+    /// Stable lower-case name used by the `ds lens` renderers.
     pub fn name(self) -> &'static str {
         match self {
             LineEventKind::CpuStore { .. } => "cpu_store",

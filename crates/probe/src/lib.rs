@@ -25,7 +25,7 @@
 //!   [`Stage`]s (telescoping intervals: stage sums equal end-to-end
 //!   latency exactly), aggregated as a [`StageBreakdown`]; the [`xray`]
 //!   module reads the same marks back into per-transaction records and
-//!   critical paths for the `dsxray` CLI;
+//!   critical paths for `ds xray`;
 //! * **per-cacheline forensics** — [`LineLens`] folds CPU stores,
 //!   pushes (fill, overwrite, bypass, degradation), demand fills, GPU L2
 //!   hits and misses, probe invalidations, evictions, DRAM accesses and
@@ -33,8 +33,8 @@
 //!   efficacy (useful / dead / clobbered, reconciling exactly against
 //!   `pushed_fills`), sharing forensics (ping-pong, write-after-push,
 //!   reuse distances, first-touch latency) and per-slice / per-bank /
-//!   per-link traffic heatmaps, aggregated as a [`LensReport`] for the
-//!   `dslens` CLI.
+//!   per-link traffic heatmaps, aggregated as a [`LensReport`] for
+//!   `ds lens`.
 //!
 //! The [`ProbeLevel`] chooses which folds the fan-out holds (the
 //! latency fold at every level, the stage fold from `stages`, the lens

@@ -28,7 +28,7 @@
 //! host spends its own.
 //!
 //! The module also owns the runtime [`ProbeLevel`] switch that lets
-//! `dsrun`/`dsserve` shed the optional observability layers
+//! `ds run`/`ds serve` shed the optional observability layers
 //! (`LineLens`, `StageTracker`) without recompiling.
 
 use std::cell::RefCell;

@@ -18,7 +18,7 @@
 //! first-difference of a monotone cumulative counter starting at
 //! zero, so the per-window deltas sum *exactly* to the final totals
 //! ([`PulseSeries::check_conservation`] re-proves it from serialized
-//! data, and `dspulse --check` cross-checks the totals against the
+//! data, and `ds check` cross-checks the totals against the
 //! final `RunReport`). Sampling never feeds back into simulated
 //! timing: a run with pulse on is bit-identical to one with it off.
 
@@ -222,7 +222,7 @@ impl std::fmt::Display for PulseAnomaly {
 }
 
 /// Detector thresholds and ring sizing. The defaults are tuned so a
-/// fault-free small-catalog run stays quiet while the seeded dschaos
+/// fault-free small-catalog run stays quiet while the seeded `ds chaos`
 /// drop plans the CI smoke uses reliably trip the retry detectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PulseConfig {
@@ -242,7 +242,7 @@ pub struct PulseConfig {
     pub livelock_windows: u32,
 }
 
-/// The default sampling window in cycles (`dspulse`, serve, dstrace).
+/// The default sampling window in cycles (`ds pulse`, `ds serve`, `ds trace`).
 pub const DEFAULT_PULSE_WINDOW: u64 = 1000;
 
 impl Default for PulseConfig {
@@ -615,7 +615,7 @@ impl PulseSampler {
 /// The legacy epoch view of a pulse series: one [`EpochSample`] per
 /// pulse window, carrying the nine counters the old opt-in epoch
 /// sampler tracked (a strict subset of the pulse counters). This is
-/// what `RunReport::epochs` and `dstrace --format epochs` are now —
+/// what `RunReport::epochs` and `ds trace --format epochs` are now —
 /// a derived view, not a second sampling path.
 pub fn epoch_view(series: &PulseSeries) -> Vec<crate::EpochSample> {
     (0..series.len())

@@ -20,7 +20,7 @@
 //!   race on ([`shared`]).
 //! * [`report`] — the machine-readable serializers: JSON and CSV for
 //!   [`RunReport`]s and [`Comparison`]s, shared by every binary.
-//! * `dsrun` — the CLI over all of the above (`src/bin/dsrun.rs`).
+//! * `ds run` — the CLI over all of the above (`crates/bench/src/run.rs`).
 //!
 //! [`SystemConfig`]: ds_core::SystemConfig
 //! [`RunReport`]: ds_core::RunReport

@@ -18,7 +18,7 @@
 //! 3. **Exact accounting** — every request is classified as a hit
 //!    (memo/disk), a coalesced hit, or a miss (this caller computed),
 //!    and `hits + misses == requests` always holds ([`StoreStats`]);
-//!    `dsserve --check` audits exactly this identity.
+//!    `ds serve --check` audits exactly this identity.
 //!
 //! Failed computations (panic, timeout, watchdog abort) are *not*
 //! memoized: the outcome is returned to the requester, waiters retry,
@@ -46,7 +46,7 @@ pub enum Provenance {
 }
 
 /// Request accounting for the shared store. The invariant every
-/// consumer may rely on (and `dsserve --check` audits):
+/// consumer may rely on (and `ds serve --check` audits):
 /// `hits + misses == requests`, with `coalesced <= hits` and
 /// `failed <= misses`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -2,7 +2,7 @@
 //! cache.
 //!
 //! The memo shares results between figures inside one process (e.g.
-//! `dsrun --format csv` after a sweep re-simulates nothing). The disk
+//! `ds run --format csv` after a sweep re-simulates nothing). The disk
 //! cache extends that across processes: one file per configuration
 //! fingerprint under the cache directory (`results/` by convention),
 //! named `ds-runner-cache-<fingerprint>.json`. Invalidation is by

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! A submission body is either an explicit task list or a
-//! CCSM-vs-direct-store sweep (the `dsrun` shape), with optional
+//! CCSM-vs-direct-store sweep (the `ds run` shape), with optional
 //! config overrides, an optional fault plan, and an optional ds-pulse
 //! window (`"pulse": true` for the default window, or a window length
 //! in cycles — pulsed reports carry the time series and the job's
@@ -896,7 +896,7 @@ fn explicit_tasks(list: &Json, cfg: &SystemConfig) -> Result<Vec<Task>, String> 
         .collect()
 }
 
-/// The `dsrun` sweep shape: CCSM-vs-`mode` pairs over the selected
+/// The `ds run` sweep shape: CCSM-vs-`mode` pairs over the selected
 /// benchmarks, in catalog order — so a served sweep's task list is
 /// identical to the batch CLI's.
 fn sweep_submission(sweep: &Json, cfg: &SystemConfig) -> Result<Vec<Task>, String> {
@@ -987,7 +987,7 @@ fn config_from(overrides: Option<&Json>) -> Result<SystemConfig, String> {
     Ok(cfg)
 }
 
-/// Builds a [`FaultPlan`] from the compact `dschaos`-style shape:
+/// Builds a [`FaultPlan`] from the compact `ds chaos`-style shape:
 /// `{"net": "direct|coh|gpu|dram", "kind": "drop|dup|delay",
 /// "rate": N, "seed": S}`.
 fn faults_from(faults: Option<&Json>) -> Result<Option<FaultPlan>, String> {
@@ -1006,12 +1006,7 @@ fn faults_from(faults: Option<&Json>) -> Result<Option<FaultPlan>, String> {
     let net = faults.get("net").and_then(Json::as_str).unwrap_or("direct");
     let kind = faults.get("kind").and_then(Json::as_str).unwrap_or("drop");
     let net = FaultNet::parse(net).ok_or_else(|| format!("unknown fault net {net:?}"))?;
-    let kind = match FaultKind::parse(kind) {
-        Some(kind) => kind,
-        // DRAM faults are stalls: the kind is not read.
-        None if net == FaultNet::Dram => FaultKind::Drop,
-        None => return Err(format!("unknown fault kind {kind:?}")),
-    };
+    let kind = FaultKind::parse(kind).ok_or_else(|| format!("unknown fault kind {kind:?}"))?;
     Ok(Some(FaultPlan::single(seed, net, kind, rate)))
 }
 
@@ -1152,6 +1147,7 @@ mod tests {
             (br#"{"tasks": [{"bench": "NOPE", "input": "small", "mode": "ds"}]}"#, Some("NOPE")),
             (br#"{"config": {"typo_knob": 1}, "tasks": [{"bench": "VA", "input": "small", "mode": "ds"}]}"#, Some("typo_knob")),
             (br#"{"faults": {"net": "marsnet", "rate": 1}, "sweep": {}}"#, Some("marsnet")),
+            (br#"{"faults": {"net": "dram", "kind": "bogus", "rate": 1}, "sweep": {}}"#, Some("unknown fault kind")),
             (br#"not json"#, None),
             (br#"{}"#, Some("tasks")),
         ] {

@@ -2,7 +2,7 @@
 //! reconstruct the batch CLI's JSON document from served results.
 //!
 //! The reconstruction is the determinism contract made executable:
-//! `dsserve submit` prints the *same bytes* `dsrun --format json`
+//! `ds submit` prints the *same bytes* `ds run --format json`
 //! prints for the same sweep, because served reports round-trip
 //! through the lossless report codec and the sweep planner orders
 //! tasks identically on both paths. The CI smoke gate `cmp`s the two.
@@ -51,7 +51,7 @@ pub struct RetryPolicy {
     /// Also retry 429 (admission refusal), honoring `Retry-After`.
     /// Off by default: saturation is an *expected* answer — the CI
     /// saturation gate relies on seeing it immediately — so waiting
-    /// out a busy server is opt-in (`dsserve submit --retry-busy`).
+    /// out a busy server is opt-in (`ds submit --retry-busy`).
     pub retry_busy: bool,
     /// Jitter seed, for deterministic tests.
     pub seed: u64,
@@ -204,7 +204,7 @@ pub fn submit_with_retry(
     ))
 }
 
-/// Builds the sweep submission body `dsserve submit` sends.
+/// Builds the sweep submission body `ds submit` sends.
 pub fn sweep_body(codes: Option<&[String]>, input: InputSize, ds_mode: Mode) -> String {
     sweep_body_pulsed(codes, input, ds_mode, None)
 }
@@ -355,7 +355,7 @@ pub fn fetch_results(url: &str, id: u64) -> Result<Json, String> {
 /// A served sweep folded back into the batch CLI's shape.
 #[derive(Debug)]
 pub struct SweepOutput {
-    /// The `dsrun --format json` document (without the trailing
+    /// The `ds run --format json` document (without the trailing
     /// newline `println!` adds).
     pub doc: String,
     /// Per-task provenance tags, in task order.
@@ -363,7 +363,7 @@ pub struct SweepOutput {
 }
 
 /// Folds a `/results` document for a sweep submission back into the
-/// exact `dsrun --format json` output for the same sweep.
+/// exact `ds run --format json` output for the same sweep.
 ///
 /// # Errors
 ///

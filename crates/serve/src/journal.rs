@@ -200,7 +200,7 @@ impl Journal {
             Err(e) => {
                 if self.errors.fetch_add(1, Ordering::Relaxed) == 0 {
                     eprintln!(
-                        "dsserve: journal append failed ({e}); durability degraded for {}",
+                        "ds serve: journal append failed ({e}); durability degraded for {}",
                         self.path.display()
                     );
                 }
@@ -334,7 +334,7 @@ fn load(dir: &Path, path: &Path, mutate: bool) -> Recovery {
         if mutate {
             recovery.quarantined = quarantine(dir, path);
             eprintln!(
-                "dsserve: journal corrupt ({why}); quarantined to {:?}, starting fresh",
+                "ds serve: journal corrupt ({why}); quarantined to {:?}, starting fresh",
                 recovery.quarantined
             );
         } else {

@@ -14,10 +14,10 @@
 //! * [`http`] — a minimal HTTP/1.1 layer over `std::net` (the
 //!   workspace builds offline; no dependencies);
 //! * [`client`] — the CLI/CI client, including the fold that turns
-//!   served results back into byte-identical `dsrun --format json`
+//!   served results back into byte-identical `ds run --format json`
 //!   output, with jittered-backoff retries and idempotent
 //!   resubmission;
-//! * [`journal`] — ds-anvil: the append-only job journal `dsserve`
+//! * [`journal`] — ds-anvil: the append-only job journal `ds serve`
 //!   replays on startup, so a crash or `kill -9` loses no accepted
 //!   job (torn tails truncated, corrupt journals quarantined);
 //! * [`stress`] — the built-in load harness: seeded virtual users,
@@ -29,7 +29,7 @@
 //! content-addressed store keyed by `TaskKey` and layered on the
 //! `results/` disk cache. The simulator is deterministic, so a cache
 //! hit is indistinguishable from a fresh run, and the service's
-//! results are bit-identical to batch `dsrun` — a property the CI
+//! results are bit-identical to batch `ds run` — a property the CI
 //! smoke gate checks with `cmp` on every run.
 
 pub mod api;

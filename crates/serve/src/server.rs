@@ -89,7 +89,7 @@ pub struct ServeOptions {
     pub journal: bool,
     /// Crash drill: `abort()` the process (the in-process stand-in
     /// for `kill -9`) right after this many task completions have
-    /// been journaled. `dsserve drill` uses it to die at a seeded
+    /// been journaled. `ds drill` uses it to die at a seeded
     /// point mid-sweep.
     pub crash_after_tasks: Option<u64>,
 }
@@ -229,7 +229,7 @@ impl ServeState {
                         journal = Some(j);
                     }
                     Err(e) => {
-                        eprintln!("dsserve: journal disabled ({e}); jobs are not durable")
+                        eprintln!("ds serve: journal disabled ({e}); jobs are not durable")
                     }
                 }
             }
@@ -384,7 +384,7 @@ pub const PULSE_STREAM_WINDOWS: usize = 64;
 
 /// Emits one completed pulsed task's telemetry onto the job's event
 /// log: up to [`PULSE_STREAM_WINDOWS`] `pulse-window` lines (window
-/// bounds plus the counters `dsserve watch` sparklines want) followed
+/// bounds plus the counters `ds watch` sparklines want) followed
 /// by one `pulse-anomaly` line per detector hit.
 fn publish_pulse_events(job: &JobRecord, idx: usize, series: &PulseSeries, done_us: u64) {
     let view = series.downsampled(PULSE_STREAM_WINDOWS);
@@ -602,7 +602,7 @@ pub(crate) fn process_item_with(
     // of any client's view and only the journal can reconstruct it.
     if let Some(limit) = state.options.crash_after_tasks {
         if state.tasks_done.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
-            eprintln!("dsserve: crash drill abort after {limit} task(s)");
+            eprintln!("ds serve: crash drill abort after {limit} task(s)");
             std::process::abort();
         }
     }
@@ -659,7 +659,7 @@ fn log_request(
     let duration_us = duration.as_micros() as u64;
     match state.options.log_format {
         LogFormat::Text => {
-            eprintln!("dsserve: {method} {path} -> {status} span={span} {bytes}B {duration_us}us")
+            eprintln!("ds serve: {method} {path} -> {status} span={span} {bytes}B {duration_us}us")
         }
         LogFormat::Json => eprintln!(
             "{}",
@@ -792,13 +792,13 @@ impl Server {
                     |respawns| {
                         state.with_metrics(|m| m.workers_respawned += 1);
                         eprintln!(
-                            "dsserve: worker {slot} panicked; respawn {respawns}/{}",
+                            "ds serve: worker {slot} panicked; respawn {respawns}/{}",
                             WORKER_RESPAWN_BUDGET
                         );
                     },
                 );
                 if retired {
-                    eprintln!("dsserve: worker {slot} retired after {respawns} respawns");
+                    eprintln!("ds serve: worker {slot} retired after {respawns} respawns");
                 }
             }));
         }

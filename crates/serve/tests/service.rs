@@ -1,6 +1,6 @@
 //! End-to-end service tests over real loopback TCP: concurrent
 //! submitters sharing one computation, cross-instance disk-cache
-//! reuse, deterministic rejection, and the dsrun-equivalence fold.
+//! reuse, deterministic rejection, and the `ds run`-equivalence fold.
 
 use std::time::Duration;
 
@@ -432,14 +432,14 @@ fn quiet_event_streams_heartbeat_at_the_configured_cadence() {
 }
 
 /// One seeded fault sweep, both telemetry surfaces: a submission that
-/// combines a dschaos-style fault plan with a pulse window streams the
+/// combines a `ds chaos`-style fault plan with a pulse window streams the
 /// detected anomalies live on `/jobs/<id>/events`, and the served
 /// report carries the same anomaly list (anomaly lines are never
 /// downsampled, so the counts must match exactly).
 #[test]
 fn faulted_pulsed_jobs_stream_the_anomalies_the_report_carries() {
     let (server, url) = start(mem_options());
-    // Same plan as the dspulse CLI smoke: delaying the direct net
+    // Same plan as the `ds pulse` CLI smoke: delaying the direct net
     // forces push retries without deadlocking the VA readback.
     let body = r#"{"tasks": [{"bench": "VA", "input": "small", "mode": "ds"}],
                    "pulse": 1000,

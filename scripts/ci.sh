@@ -43,28 +43,20 @@ echo "==> ds trace epoch-window validation"
   --out "$smoke_dir/va-epochs.csv"
 test -s "$smoke_dir/va-epochs.csv"
 
-echo "==> ds xray smoke run (both modes, invariants checked)"
-"$ds" xray --bench VA --input small --check --out "$smoke_dir/va-xray.txt"
+echo "==> ds xray smoke run (both modes)"
+"$ds" xray --bench VA --input small --out "$smoke_dir/va-xray.txt"
 test -s "$smoke_dir/va-xray.txt"
 
-echo "==> ds lens reconciliation audit (full catalog, both modes)"
-"$ds" lens --check
-
-echo "==> ds prof invariant audit (profiler never perturbs simulated cycles)"
-# Re-runs VA at every probe level and with the profiler off: simulated
-# cycles must be bit-identical across all of them, self-times must sum
-# to <= wall, and shed levels must report exactly-zero tax buckets.
-"$ds" prof --check --bench VA
-
-echo "==> ds chaos invariant audit (zero-fault identity + no silent push loss)"
-"$ds" chaos --check --bench VA --quiet
-
-echo "==> ds pulse conservation gate (full small catalog, both modes)"
-# Every per-window counter series must sum exactly to the final
-# RunReport totals, reports must stay bit-identical with pulse
-# stripped (fig4 is untouched by sampling), and a seeded fault run
-# must surface at least one detected anomaly.
-"$ds" pulse --check
+echo "==> ds check (every audit over the small catalog, both modes)"
+# One plain run per task, audited on its own (lens, stage accounting,
+# CCSM push quiescence, the paper's Fig. 4/5 shape), then one observed
+# run per probe level with the profiler on (pulse, span tracing and an
+# inactive seeded fault plan at full; the live transaction stitcher at
+# stages and minimal), each equal to the plain run field for field;
+# then the push ledger under delay + duplicate faults and the seeded
+# pulse-anomaly run. Exits 1 naming the audit and the task of any
+# violation.
+"$ds" check
 
 echo "==> ds pulse anomaly-report smoke (fault-injected stall/retry storm)"
 "$ds" pulse --bench VA --input small --kind delay --rate 32000 --seed 7 \
@@ -192,13 +184,6 @@ scripts/crash_drill.sh VA,MM > "$smoke_dir/crash-drill.log" 2>&1 || {
   cat "$smoke_dir/crash-drill.log" >&2
   exit 1
 }
-
-echo "==> ds scope span audit (telescoping, exact reconciliation, zero overhead off)"
-# Every small-catalog report must carry a span tree that telescopes
-# and reconciles queue + store + sim + overhead exactly against its
-# wall clock — and a scope-off rerun must be bit-identical minus the
-# tree (fig4 stays untouched by the tracing layer).
-"$ds" scope --check
 
 echo "==> ds-scope live telemetry gate (watch stream, request log, merged trace)"
 "$ds" serve --port 0 --port-file "$smoke_dir/scope-addr" \
