@@ -10,6 +10,7 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use ds_core::{FaultKind, FaultNet, InputSize, Mode};
+use ds_workloads::{catalog, Benchmark};
 
 /// Why a subcommand stopped before doing its work.
 #[derive(Debug)]
@@ -40,6 +41,12 @@ pub fn set_command(name: &'static str) {
 pub fn fail(message: &str) -> ! {
     eprintln!("ds {}: {message}", COMMAND.get().copied().unwrap_or(""));
     std::process::exit(1);
+}
+
+/// The Table II benchmark `code`; an unknown code exits 1.
+pub fn benchmark(code: &str) -> Benchmark {
+    catalog::by_code(code)
+        .unwrap_or_else(|| fail(&format!("unknown benchmark code {code:?} (see Table II)")))
 }
 
 /// `--input small|big`.

@@ -15,7 +15,7 @@ use ds_core::{FaultPlan, InputSize, Mode, Pipeline, RunReport, SystemConfig};
 use ds_probe::{chrome, jsonl, render_epoch_csv, BufferTracer, PulseConfig};
 use ds_runner::json;
 
-use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
+use crate::cli::{benchmark, fail, unknown, usage, Args, Cli, Parsed};
 
 pub const USAGE: &str = "usage: ds trace --bench CODE [options]
 
@@ -196,8 +196,7 @@ pub fn main(mut args: Args) -> Parsed<()> {
         return usage("--bench is required");
     };
 
-    let bench = ds_workloads::catalog::by_code(&code)
-        .unwrap_or_else(|| fail(&format!("unknown benchmark code {code:?} (see Table II)")));
+    let bench = benchmark(&code);
 
     let window = window.or((format == Format::Epochs).then_some(1000));
     let pipeline = Pipeline::with_config(SystemConfig::paper_default());

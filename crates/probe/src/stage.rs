@@ -202,7 +202,7 @@ pub(crate) enum Mark {
 }
 
 /// Reads stage [`Mark`]s off the trace stream, for the live
-/// [`StageTracker`] and for [`crate::xray::stitch`] alike.
+/// [`StageTracker`] and for [`crate::xray::Stitch`] alike.
 ///
 /// `TxnBegin`, `StageMark` and `TxnDone` map one to one. The hub never
 /// sees transaction ids, so a GPU load's time at the hub is derived
