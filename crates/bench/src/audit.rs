@@ -12,10 +12,10 @@
 
 use ds_core::{Comparison, InputSize, RunReport};
 use ds_probe::pulse::{ctr, PULSE_COUNTER_NAMES};
-use ds_probe::xray::TxnRecord;
+use ds_probe::xray::{TxnRecord, TxnSink};
 use ds_probe::{
-    BankTraffic, HostPhase, LensReport, NetId, ProbeLevel, SliceTraffic, SpanKind, Stage,
-    StageBreakdown, TxnPath,
+    BankTraffic, HostPhase, LensReport, NetId, ProbeLevel, SliceTraffic, Stage, StageBreakdown,
+    TxnPath,
 };
 use ds_runner::json::Json;
 use ds_runner::report_to_json;
@@ -34,18 +34,14 @@ fn differ<S: AsRef<str>>(rows: impl IntoIterator<Item = (S, u64, u64)>) -> Vec<S
         .collect()
 }
 
-/// A plain run carries no observation payload: no host profile, span
-/// tree or pulse series (the profiler, scope and pulse are off).
+/// A plain run carries no observation payload: no host profile or
+/// pulse series (the profiler and pulse are off).
 pub fn unobserved(r: &RunReport) -> Vec<String> {
-    [
-        ("host", r.host.is_some()),
-        ("scope", r.scope.is_some()),
-        ("pulse", r.pulse.is_some()),
-    ]
-    .into_iter()
-    .filter(|&(_, set)| set)
-    .map(|(field, _)| format!("{field} is set on a plain run"))
-    .collect()
+    [("host", r.host.is_some()), ("pulse", r.pulse.is_some())]
+        .into_iter()
+        .filter(|&(_, set)| set)
+        .map(|(field, _)| format!("{field} is set on a plain run"))
+        .collect()
 }
 
 /// The lens reconciles with the counters the caches, DRAM and
@@ -162,8 +158,9 @@ pub fn stages(r: &RunReport) -> Vec<String> {
 
 /// What the stitch audit keeps of a live-stitched run: the aggregate
 /// of the completed transactions and the first violations of
-/// [`transaction`]. Feed it from a fold:
-/// `Stitch::new(|t| stitched.take(t))`.
+/// [`transaction`]. It is the sink of a fold,
+/// `Stitch::new(Stitched::default())`, read back with
+/// `Stitch::into_sink`.
 #[derive(Debug, Default)]
 pub struct Stitched {
     /// The aggregate of the transactions stitched so far.
@@ -174,9 +171,9 @@ pub struct Stitched {
     pub errors: Vec<String>,
 }
 
-impl Stitched {
+impl TxnSink for Stitched {
     /// Checks one completed transaction and adds it to the aggregate.
-    pub fn take(&mut self, t: TxnRecord) {
+    fn take(&mut self, t: TxnRecord) {
         if self.errors.len() < SHOWN {
             self.errors.extend(transaction(&t));
         }
@@ -284,35 +281,6 @@ pub fn anomalies(r: &RunReport) -> Vec<String> {
     }
 }
 
-/// The span tree telescopes (children nest in their parents, siblings
-/// never outlast them), the task span reconciles its queue, store,
-/// sim and overhead time against its wall clock exactly, and the
-/// sim-run span names the run's simulated cycles.
-pub fn scope(r: &RunReport) -> Vec<String> {
-    let Some(tree) = &r.scope else {
-        return vec!["scope is unset with span tracing on".into()];
-    };
-    let mut errs: Vec<String> = tree.check().err().into_iter().collect();
-    match tree.find(SpanKind::Task).and_then(|t| tree.reconcile(t.id)) {
-        Some(rec) => errs.extend(differ([(
-            "queue_us + store_us + sim_us + overhead_us vs total_us",
-            rec.queue_us + rec.store_us + rec.sim_us + rec.overhead_us,
-            rec.total_us,
-        )])),
-        None => errs.push("the span tree has no task span that reconciles".into()),
-    }
-    let cycles = format!("{} cycles", r.total_cycles.as_u64());
-    match tree.find(SpanKind::SimRun) {
-        Some(sim) if sim.label.starts_with(&cycles) => {}
-        Some(sim) => errs.push(format!(
-            "sim-run span {:?} does not name total_cycles ({cycles})",
-            sim.label
-        )),
-        None => errs.push("the span tree has no sim-run span".into()),
-    }
-    errs
-}
-
 /// The host profile of a run at probe level `level`: present, its
 /// phase self-times within wall-clock (`HostProfile::check`), and no
 /// span in the tax bucket of a fold `level` sheds.
@@ -337,15 +305,14 @@ pub fn host(r: &RunReport, level: ProbeLevel) -> Vec<String> {
 }
 
 /// `r` without what observing it added: the pulse series and its
-/// epoch view, the host profile and the span tree, and, below probe
-/// level `full`, the folds `level` sheds.
+/// epoch view, the host profile, and, below probe level `full`, the
+/// folds `level` sheds.
 fn unobserved_view(r: &RunReport, level: ProbeLevel) -> RunReport {
     let mut r = r.clone();
     r.pulse = None;
     r.epochs = Vec::new();
     r.epoch_window = 0;
     r.host = None;
-    r.scope = None;
     if level < ProbeLevel::Full {
         r.lens = LensReport::default();
     }

@@ -237,7 +237,7 @@ fn run_sweep(opts: &Options, cfg: &SystemConfig) -> i32 {
                     let detail = match outcome {
                         TaskOutcome::Panicked(msg) => format!("panicked: {msg}"),
                         TaskOutcome::TimedOut => "timed out".into(),
-                        TaskOutcome::Failed(msg) => msg.clone(),
+                        TaskOutcome::Failed(e) => e.to_string(),
                         _ => unreachable!("report-less outcomes only"),
                     };
                     // Diagnostics are multi-line; keep the table row

@@ -1,25 +1,23 @@
 //! `ds check` — every audit of [`ds_bench::audit`] in one pass over
 //! the selected tasks (see `USAGE`).
 //!
-//! The profiler, the probe level and span tracing are process-wide
-//! switches, so each observed pass runs alone, after the plain pass,
-//! on a fresh pool that cannot serve it from the plain pass's memo (a
-//! task's key names none of the three).
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+//! The profiler and the probe level are process-wide switches, so each
+//! observed pass runs alone, after the plain pass. Every pass runs on
+//! the runner's pool with a tracer per task and no memo
+//! ([`Runner::run_traced`]): the plain, full and fault passes with the
+//! compiled-out [`NullTracer`], the stages and minimal passes with a
+//! live [`Stitch`], so the identity audits also compare traced runs
+//! with untraced ones.
 
 use ds_bench::audit::{self, Stitched};
 use ds_core::Scenario as _;
 use ds_core::{
-    Comparison, FaultKind, FaultNet, FaultPlan, InputSize, Mode, Pipeline, PipelineError,
-    RunReport, SystemConfig,
+    Comparison, FaultKind, FaultNet, FaultPlan, InputSize, Mode, RunReport, SystemConfig,
 };
 use ds_probe::prof::{self, ProbeLevel};
 use ds_probe::xray::Stitch;
-use ds_probe::{scope, DEFAULT_PULSE_WINDOW};
-use ds_runner::{default_jobs, panic_message, sweep_tasks, Runner, Task, TaskOutcome};
+use ds_probe::{NullTracer, Tracer, DEFAULT_PULSE_WINDOW};
+use ds_runner::{sweep_tasks, Runner, Task, TaskOutcome};
 
 use crate::cli::{benchmark, fail, unknown, Args, Cli, Parsed};
 
@@ -27,9 +25,9 @@ pub const USAGE: &str = "usage: ds check [--bench A,B,...] [--input small|big|bo
 
 Runs every audit over the selected tasks, each benchmark under CCSM
 and direct store: once plain, once per probe level with the profiler
-on (pulse, span tracing and an inactive fault plan at full; the
-transaction stitcher at stages and minimal), and under faults. Exits
-1 naming the audit and the task of any violation.
+on (pulse and an inactive fault plan at full; the transaction
+stitcher at stages and minimal), and under faults. Exits 1 naming the
+audit and the task of any violation.
 
 options:
   --bench A,B,...         only these Table II codes (default: all 22)
@@ -58,55 +56,26 @@ fn anomaly_task(cfg: &SystemConfig) -> Task {
         .with_pulse(DEFAULT_PULSE_WINDOW)
 }
 
-/// One pass's runs on a fresh [`Runner`], whose memo is empty. A run
-/// that ends without a report fails the check.
-fn run_pool(tasks: &[Task]) -> Vec<RunReport> {
-    let outcomes = Runner::new().progress(false).run_tasks_outcomes(tasks);
-    let report = |(task, o): (&Task, TaskOutcome)| match o.report() {
-        Some(r) => r.clone(),
-        None => fail(&format!("run {} ended {o:?}", label(task))),
+/// One pass's runs on the runner's pool, each fed to its own tracer
+/// from `tracer`, which comes back with the run's report. A run that
+/// ends without a report, or panics, fails the check naming its task.
+fn run_pool<T: Tracer + Send + 'static>(
+    tasks: &[Task],
+    tracer: impl Fn() -> T,
+) -> Vec<(RunReport, T)> {
+    let tracers = tasks.iter().map(|_| tracer()).collect();
+    let runs = Runner::new().progress(false).run_traced(tasks, tracers);
+    let report = |(task, run): (&Task, (TaskOutcome, Option<T>))| match run {
+        (TaskOutcome::Ok(r) | TaskOutcome::Degraded(r), Some(t)) => (*r, t),
+        (o, _) => fail(&format!("run {} ended {o:?}", label(task))),
     };
-    tasks.iter().zip(outcomes).map(report).collect()
+    tasks.iter().zip(runs).map(report).collect()
 }
 
-/// One run of `task` with its stream stitched live by a [`Stitch`].
-fn stitch_task(task: &Task) -> Result<(RunReport, Stitched), PipelineError> {
-    let bench = benchmark(&task.code);
-    let mut stitched = Stitched::default();
-    let (result, _) = Pipeline::with_config(task.cfg.clone()).run(
-        &bench,
-        task.input,
-        task.mode,
-        Stitch::new(|t| stitched.take(t)),
-        &task.faults,
-        None,
-    );
-    result.map(|r| (r, stitched))
-}
-
-/// Runs [`stitch_task`] for every task on [`default_jobs`] threads:
-/// the runner's pool takes no tracer of the caller's. As on that pool,
-/// a run that panics or fails is caught; it fails the check naming
-/// its task.
-fn run_stitched(tasks: &[Task]) -> Vec<(RunReport, Stitched)> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<_>> = tasks.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..default_jobs().min(tasks.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let run = catch_unwind(AssertUnwindSafe(|| stitch_task(task)))
-                    .unwrap_or_else(|p| Err(PipelineError::Panicked(panic_message(&*p))));
-                let run = run.unwrap_or_else(|e| fail(&format!("run {}: {e}", label(task))));
-                let _ = slots[i].set(run);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every task ran"))
-        .collect()
+/// [`run_pool`] with every run untraced.
+fn run_plain(tasks: &[Task]) -> Vec<RunReport> {
+    let runs = run_pool(tasks, || NullTracer);
+    runs.into_iter().map(|(r, _)| r).collect()
 }
 
 /// The violations found so far, printed as they are found.
@@ -170,7 +139,7 @@ pub fn main(mut args: Args) -> Parsed<()> {
 
     // The plain runs, audited on their own and in CCSM-vs-DS pairs.
     eprintln!("ds check: plain pass, {} run(s)", tasks.len());
-    let plain = run_pool(&tasks);
+    let plain = run_plain(&tasks);
     for (task, r) in tasks.iter().zip(&plain) {
         log.record("unobserved", task, audit::unobserved(r));
         log.record("lens", task, audit::lens(r));
@@ -193,11 +162,9 @@ pub fn main(mut args: Args) -> Parsed<()> {
         log.record("pt_flat", &pair[1], audit::pt_flat(&c));
     }
 
-    // Observed at full: pulse, span tracing and an inactive seeded
-    // fault plan.
+    // Observed at full: pulse and an inactive seeded fault plan.
     eprintln!("ds check: full pass, {} run(s)", tasks.len());
     prof::set_enabled(true);
-    scope::set_enabled(true);
     let inactive = FaultPlan {
         seed: SEED,
         ..FaultPlan::default()
@@ -210,12 +177,10 @@ pub fn main(mut args: Args) -> Parsed<()> {
                 .with_pulse(DEFAULT_PULSE_WINDOW)
         })
         .collect();
-    let full = run_pool(&observed);
-    scope::set_enabled(false);
+    let full = run_plain(&observed);
     for ((task, r), base) in tasks.iter().zip(&full).zip(&plain) {
         log.observed(task, r, base, ProbeLevel::Full);
         log.record("pulse", task, audit::pulse(r));
-        log.record("scope", task, audit::scope(r));
     }
 
     // Observed at stages and at minimal, each stream stitched live. The
@@ -224,9 +189,10 @@ pub fn main(mut args: Args) -> Parsed<()> {
     for level in [ProbeLevel::Stages, ProbeLevel::Minimal] {
         eprintln!("ds check: {level} pass, {} run(s)", tasks.len());
         prof::set_level(level);
-        for ((task, (r, stitched)), base) in tasks.iter().zip(run_stitched(&tasks)).zip(&plain) {
+        let stitched = run_pool(&tasks, || Stitch::new(Stitched::default()));
+        for ((task, (r, stitch)), base) in tasks.iter().zip(stitched).zip(&plain) {
             log.observed(task, &r, base, level);
-            log.record("stitch", task, audit::stitched(&stitched, base));
+            log.record("stitch", task, audit::stitched(&stitch.into_sink(), base));
         }
     }
     prof::set_enabled(false);
@@ -241,7 +207,7 @@ pub fn main(mut args: Args) -> Parsed<()> {
         .collect();
     faulted.push(anomaly_task(&cfg));
     eprintln!("ds check: fault pass, {} run(s)", faulted.len());
-    for (task, r) in faulted.iter().zip(run_pool(&faulted)) {
+    for (task, r) in faulted.iter().zip(run_plain(&faulted)) {
         log.record("push_ledger", task, audit::push_ledger(&r));
         if task.pulse > 0 {
             log.record("pulse", task, audit::pulse(&r));

@@ -49,7 +49,6 @@ const COMMANDS: &[Command] = &[
     Command("check", "every audit over the catalog in one pass", check::USAGE, check::main),
     Command("scope summary", "span-tree summary of a served job", scope::USAGE, scope::summary),
     Command("scope merge", "one Perfetto trace from job spans", scope::USAGE, scope::merge),
-    Command("serve --check", "self-audit of the job service", serve::SERVE_USAGE, serve::check),
     Command("serve", "run the simulation service", serve::SERVE_USAGE, serve::serve),
     Command("submit", "submit a sweep, print `ds run` JSON", serve::SUBMIT_USAGE, serve::submit),
     Command("status", "print a job's status document", serve::JOB_USAGE, serve::status),

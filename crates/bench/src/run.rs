@@ -173,7 +173,7 @@ pub fn main(mut args: Args) -> Parsed<()> {
                         let detail = match outcome {
                             TaskOutcome::Panicked(msg) => format!("panicked: {msg}"),
                             TaskOutcome::TimedOut => "timed out".to_string(),
-                            TaskOutcome::Failed(msg) => msg.clone(),
+                            TaskOutcome::Failed(e) => e.to_string(),
                             _ => continue, // this half of the pair was fine
                         };
                         failed_tasks += 1;

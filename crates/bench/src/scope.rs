@@ -8,14 +8,13 @@
 //!                  [--out FILE]
 //! ```
 //!
-//! `ds check` audits the span trees of the runner's own tasks: each
-//! telescopes, each task span reconciles exactly, and a run with
-//! scope on equals the plain run minus its tree.
+//! Spans exist on the service path only: each served task's result
+//! row carries its spans. Both commands check every task's tree: it
+//! telescopes, and its task span reconciles exactly.
 //!
-//! * `summary` prints a per-job span-tree summary with the same
-//!   telescoping and reconciliation checks, from a served
-//!   `/jobs/<id>/results` document (fetched live or read from a
-//!   file).
+//! * `summary` prints a per-job span-tree summary with those checks,
+//!   from a served `/jobs/<id>/results` document (fetched live or
+//!   read from a file).
 //! * `merge` additionally stitches the service-level spans and any
 //!   `ds trace` Chrome tracks into one Perfetto-loadable trace, so a
 //!   single artifact spans HTTP request → job → task →
@@ -40,7 +39,7 @@ use crate::cli::{fail, unknown, usage, Args, Parsed};
 pub const USAGE: &str = "usage: ds scope summary (--job FILE | --url U JOB)
        ds scope merge   (--job FILE | --url U JOB) [--trace FILE]... [--out FILE]
 
-Correlated span tracing over ds-serve jobs and ds-runner reports.
+Correlated span tracing over ds-serve jobs.
 
 commands:
   summary    print a job's span-tree summary with telescoping checks

@@ -2,15 +2,14 @@
 //!
 //! Runs the deterministic simulator behind an HTTP job API with a
 //! shared content-addressed result store, and ships its own client
-//! and load harness so the whole loop (submit, poll, fetch, stress,
-//! audit) works from one binary with zero dependencies.
+//! and load harness so the whole loop (submit, poll, fetch, stress)
+//! works from one binary with zero dependencies.
 //!
 //! ```text
 //! ds serve    [--port N] [--addr HOST:PORT] [--port-file PATH]
 //!             [--workers N] [--handlers N] [--queue-limit N]
 //!             [--timeout SECS] [--cache DIR | --no-cache]
 //!             [--no-journal] [--verbose]
-//! ds serve --check
 //! ds submit   [--url U] [--bench A,B,...] [--input small|big]
 //!             [--mode ds|ds-only] [--pulse WINDOW] [--no-wait]
 //!             [--expect-cached] [--wait-timeout SECS]
@@ -45,7 +44,6 @@ use ds_core::{InputSize, Mode, SystemConfig};
 use ds_runner::json::Json;
 use ds_serve::client::{self, RetryPolicy, SubmitAnswer};
 use ds_serve::http::client_request;
-use ds_serve::jobs::{JobQueue, Rejection};
 use ds_serve::journal::Journal;
 use ds_serve::stress::{run_stress, StressOptions};
 use ds_serve::{ServeOptions, Server};
@@ -53,12 +51,10 @@ use ds_serve::{ServeOptions, Server};
 use crate::cli::{fail, unknown, usage, Args, Cli, Parsed};
 
 pub const SERVE_USAGE: &str = "usage: ds serve [options]
-       ds serve --check
 
 Runs the simulation service: an HTTP job API over the deterministic
 runner with a shared content-addressed result store, until POST
 /shutdown (or SIGTERM/SIGINT, which drain through the same path).
---check instead runs the service self-audit (exit 1 on violation).
 
 options:
   --port N            port on 127.0.0.1 (default: 7878; 0 = ephemeral)
@@ -86,7 +82,7 @@ options:
   --log-format F      request-log shape: text (default) or json
   --help              show this help
 
-exit codes: 0 ok; 1 failure or audit violation; 2 usage";
+exit codes: 0 ok; 1 failure; 2 usage";
 
 pub const SUBMIT_USAGE: &str = "usage: ds submit [options]
 
@@ -221,8 +217,7 @@ pub fn serve(mut args: Args) -> Parsed<()> {
                 options.queue_limit = args.parsed("--queue-limit", "a positive integer")?;
             }
             "--timeout" => {
-                let secs: u64 = args.parsed("--timeout", "positive seconds")?;
-                options.task_timeout = Some(Duration::from_secs(secs.max(1)));
+                options.task_timeout = Some(Duration::from_secs(args.positive("--timeout")?));
             }
             "--cache" => options.cache_dir = Some(args.value("--cache")?.into()),
             "--no-cache" => options.cache_dir = None,
@@ -775,189 +770,5 @@ pub fn shutdown(args: Args) -> Parsed<()> {
         Ok((status, text)) => fail(&format!("POST /shutdown answered {status}: {text}")),
         Err(e) => fail(&e),
     }
-    Ok(())
-}
-
-/// `ds serve --check`, the self-audit: admission control, store
-/// reconciliation, cache determinism, and clean shutdown — all against
-/// a real loopback server, no external state touched.
-pub fn check(mut args: Args) -> Parsed<()> {
-    if let Some(arg) = args.next() {
-        return unknown(&arg);
-    }
-    let mut failures = 0usize;
-    let mut check = |name: &str, ok: bool, detail: &str| {
-        if ok {
-            eprintln!("ds serve --check: ok   {name}");
-        } else {
-            eprintln!("ds serve --check: FAIL {name}: {detail}");
-            failures += 1;
-        }
-    };
-
-    // 1. Admission control is an explicit bound, not a hang: a full
-    //    queue answers QueueFull immediately.
-    let queue = JobQueue::new(1);
-    let cfg = SystemConfig::paper_default();
-    let task = ds_runner::Task::new(&cfg, "VA", InputSize::Small, Mode::DirectStore);
-    let first = queue.submit(vec![task.clone()], 0);
-    let second = queue.submit(vec![task.clone()], 0);
-    check(
-        "admission bound rejects explicitly",
-        first.is_ok() && matches!(second, Err(Rejection::QueueFull { .. })),
-        &format!("first={first:?} second={second:?}"),
-    );
-    check(
-        "empty submissions are rejected",
-        matches!(queue.submit(Vec::new(), 0), Err(Rejection::Empty)),
-        "empty task list was admitted",
-    );
-
-    // 2. A real loopback server: duplicate tasks inside a job are
-    //    coalesced to one computation, a repeat job is pure cache,
-    //    and the store accounting reconciles over HTTP.
-    let options = ServeOptions {
-        workers: 2,
-        handlers: 2,
-        queue_limit: 4,
-        cache_dir: None,
-        ..ServeOptions::default()
-    };
-    let server = Server::start(options, "127.0.0.1:0")
-        .unwrap_or_else(|e| fail(&format!("cannot bind loopback: {e}")));
-    let url = format!("http://{}", server.addr());
-    let body = r#"{"tasks": [
-        {"bench": "VA", "input": "small", "mode": "ds"},
-        {"bench": "VA", "input": "small", "mode": "ds"}
-    ]}"#;
-    let run_job = |label: &str| -> Vec<String> {
-        match client::submit(&url, body) {
-            Ok(SubmitAnswer::Accepted { id, .. }) => {
-                if let Err(e) = client::wait_done(&url, id, Duration::from_secs(300)) {
-                    fail(&format!("{label}: {e}"));
-                }
-                let results = client::fetch_results(&url, id)
-                    .unwrap_or_else(|e| fail(&format!("{label}: {e}")));
-                results
-                    .get("results")
-                    .and_then(Json::as_arr)
-                    .map(|rows| {
-                        rows.iter()
-                            .map(|r| {
-                                r.get("provenance")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or("missing")
-                                    .to_string()
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            }
-            other => fail(&format!("{label}: unexpected submit answer {other:?}")),
-        }
-    };
-    let first = run_job("duplicate-task job");
-    let computed = first.iter().filter(|p| *p == "computed").count();
-    check(
-        "duplicate tasks coalesce to one computation",
-        first.len() == 2 && computed == 1,
-        &format!("provenances {first:?}"),
-    );
-    let repeat = run_job("repeat job");
-    check(
-        "repeat submission is pure cache",
-        repeat.len() == 2 && repeat.iter().all(|p| p == "hit"),
-        &format!("provenances {repeat:?}"),
-    );
-
-    let stats = server.state().store.stats();
-    check(
-        "store accounting reconciles (hits + misses == requests)",
-        stats.reconciles(),
-        &format!("{stats:?}"),
-    );
-    check(
-        "store counted exactly one computation",
-        stats.requests == 4 && stats.misses == 1 && stats.hits == 3,
-        &format!("{stats:?}"),
-    );
-
-    // 3. The ds-anvil journal: append/replay round-trip, torn-tail
-    //    tolerance, and interior-corruption quarantine, against a
-    //    real scratch directory.
-    let scratch =
-        std::env::temp_dir().join(format!("dsserve-check-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    {
-        use std::io::Write as _;
-        let (journal, fresh) = Journal::open(&scratch)
-            .unwrap_or_else(|e| fail(&format!("cannot open scratch journal: {e}")));
-        check(
-            "journal starts empty",
-            fresh.jobs.is_empty() && !fresh.torn_tail && fresh.quarantined.is_none(),
-            &format!("{fresh:?}"),
-        );
-        let path = journal.path().to_path_buf();
-        journal.job_submitted(3, "idem-3", &[task.clone(), task.clone()]);
-        journal.task_started(3, 0);
-        journal.task_done(3, 0, "ok");
-        drop(journal);
-        let replay = Journal::peek(&scratch);
-        check(
-            "journal replays the unfinished job",
-            replay.jobs.len() == 1 && replay.jobs[0].id == 3 && replay.jobs[0].completed == 1,
-            &format!("{replay:?}"),
-        );
-        // A mid-append crash leaves a partial final line: truncated,
-        // never fatal, and the job is still recovered.
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot reopen scratch journal: {e}")));
-        let _ = file.write_all(b"{\"rec\":\"task-do");
-        drop(file);
-        let torn = Journal::peek(&scratch);
-        check(
-            "a torn tail is truncated, not fatal",
-            torn.torn_tail && torn.jobs.len() == 1,
-            &format!("{torn:?}"),
-        );
-        // Corruption *before* the tail is a different disease: the
-        // whole file is quarantined and the server boots empty
-        // rather than trusting a damaged history.
-        let mut text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read scratch journal: {e}")));
-        let first_newline = text.find('\n').unwrap_or(text.len());
-        text.replace_range(..first_newline, "{\"rec\":\"garbage\"}");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| fail(&format!("cannot corrupt scratch journal: {e}")));
-        let (_journal, after) = Journal::open(&scratch)
-            .unwrap_or_else(|e| fail(&format!("cannot reopen scratch journal: {e}")));
-        check(
-            "interior corruption quarantines the journal",
-            after.quarantined.is_some() && after.jobs.is_empty(),
-            &format!("{after:?}"),
-        );
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    // 4. Clean shutdown over HTTP: the whole thread family joins.
-    match client_request(
-        &url,
-        "POST",
-        "/shutdown",
-        Some("{}"),
-        Duration::from_secs(10),
-    ) {
-        Ok((200, _)) => {}
-        other => fail(&format!("POST /shutdown: {other:?}")),
-    }
-    server.wait();
-    check("clean shutdown over HTTP", true, "");
-
-    if failures > 0 {
-        fail(&format!("{failures} audit check(s) failed"));
-    }
-    eprintln!("ds serve --check: all checks passed");
     Ok(())
 }

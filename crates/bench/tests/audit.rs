@@ -13,15 +13,14 @@ use ds_core::{
 use ds_probe::prof::{self, ProbeLevel};
 use ds_probe::xray::Stitch;
 use ds_probe::{
-    scope, BufferTracer, Component, HostPhase, HostProfile, NetId, NullTracer, Probes, PulseConfig,
-    SpanKind, TraceEvent, TraceKind, Tracer,
+    BufferTracer, Component, HostPhase, HostProfile, NetId, NullTracer, Probes, PulseConfig,
+    TraceEvent, TraceKind, Tracer,
 };
-use ds_runner::{Runner, Task};
 use ds_workloads::catalog;
 
-/// The profiler, the probe level and span tracing are process-wide
-/// switches a system reads when it is built, so every test that
-/// simulates holds this lock: no run sees another test's settings.
+/// The profiler and the probe level are process-wide switches a
+/// system reads when it is built, so every test that simulates holds
+/// this lock: no run sees another test's settings.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
@@ -121,11 +120,9 @@ fn report_audits_hold_and_name_a_tampered_counter() {
 
 /// What the stitch audit collects from a recorded stream.
 fn stitch_recorded(events: &[TraceEvent]) -> Stitched {
-    let mut stitched = Stitched::default();
-    let mut fold = Stitch::new(|t| stitched.take(t));
+    let mut fold = Stitch::new(Stitched::default());
     events.iter().for_each(|&e| fold.record(e));
-    drop(fold);
-    stitched
+    fold.into_sink()
 }
 
 #[test]
@@ -141,8 +138,9 @@ fn the_live_stitch_agrees_with_the_tracker_and_catches_a_tampered_stream() {
         // The untraced run: its tracer is compiled out (`ENABLED` is
         // false), so the two tracing runs must equal it.
         let r = run(code, mode);
-        let mut live = Stitched::default();
-        let (stitching, _) = run_with(code, mode, Stitch::new(|t| live.take(t)), &plain, None);
+        let stitch = Stitch::new(Stitched::default());
+        let (stitching, probes) = run_with(code, mode, stitch, &plain, None);
+        let live = probes.tracer.into_sink();
         holds(audit::identity(&r, &stitching, ProbeLevel::Full));
         holds(audit::stitched(&live, &r));
         let (traced, probes) = run_with(code, mode, BufferTracer::new(), &plain, None);
@@ -226,36 +224,6 @@ fn observed_runs_equal_the_plain_run_and_name_a_tampered_field() {
         }
     });
     names(audit::host(&lens_spans, *level), "tax_lens");
-}
-
-#[test]
-fn span_trees_reconcile_and_name_a_tampered_span() {
-    let _guard = lock();
-    let cfg = SystemConfig::paper_default();
-    let task = Task::new(&cfg, "VA", InputSize::Small, Mode::DirectStore);
-    let run_task = || {
-        let outcomes = Runner::new()
-            .jobs(1)
-            .progress(false)
-            .run_tasks_outcomes(std::slice::from_ref(&task));
-        outcomes[0].report().expect("VA runs").clone()
-    };
-    scope::set_enabled(true);
-    let scoped = run_task();
-    scope::set_enabled(false);
-    let plain = run_task();
-    holds(audit::scope(&scoped));
-    holds(audit::unobserved(&plain));
-    holds(audit::identity(&plain, &scoped, ProbeLevel::Full));
-
-    let cycles = tampered(&scoped, |t| t.total_cycles = ds_sim::Cycle::new(1));
-    names(audit::scope(&cycles), "total_cycles");
-    let no_sim = tampered(&scoped, |t| {
-        if let Some(tree) = &mut t.scope {
-            tree.spans.retain(|s| s.kind != SpanKind::SimRun);
-        }
-    });
-    names(audit::scope(&no_sim), "sim-run");
 }
 
 #[test]

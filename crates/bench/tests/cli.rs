@@ -58,7 +58,7 @@ fn no_or_unknown_subcommand_is_a_usage_error() {
 #[test]
 fn help_lists_every_subcommand_and_each_one_dispatches() {
     let names = subcommands();
-    assert_eq!(names.len(), 37, "{names:?}");
+    assert_eq!(names.len(), 36, "{names:?}");
     for name in [
         "run",
         "check",
@@ -70,7 +70,9 @@ fn help_lists_every_subcommand_and_each_one_dispatches() {
     ] {
         assert!(names.iter().any(|n| n == name), "{name} missing: {names:?}");
     }
-    assert!(!names.iter().any(|n| n == "scope --check"), "{names:?}");
+    for retired in ["scope --check", "serve --check"] {
+        assert!(!names.iter().any(|n| n == retired), "{names:?}");
+    }
     // Every listed name reaches its own parser, which names it.
     for name in &names {
         let mut args: Vec<&str> = name.split(' ').collect();
@@ -106,10 +108,10 @@ fn former_silent_fallbacks_are_usage_errors() {
     }
 }
 
-/// The audit modes `ds check` replaced.
+/// The audit modes `ds check` and the test suites replaced.
 #[test]
 fn retired_check_modes_are_unknown_arguments() {
-    for tool in ["lens", "xray", "pulse", "prof", "chaos"] {
+    for tool in ["lens", "xray", "pulse", "prof", "chaos", "serve"] {
         let (code, _, stderr) = ds(&[tool, "--check"]);
         let unknown = format!("ds {tool}: unknown argument \"--check\"");
         assert!(code == 2 && stderr.starts_with(&unknown), "{stderr}");
@@ -143,6 +145,7 @@ fn every_parser_rejects_bad_arguments() {
         &["scope", "summary", "--trace", "t.json"],
         &["serve", "--port"], &["serve", "--log-format", "xml"],
         &["serve", "--probe-level", "max"], &["serve", "--check", "--port", "0"],
+        &["serve", "--timeout", "0"],
         &["submit", "--url"], &["submit", "--mode", "ccsm"], &["submit", "--input", "both"],
         &["submit", "--pulse", "0"],
         &["status", "--url"], &["status"], &["results", "--url"], &["results", "x"],

@@ -4,9 +4,7 @@ use std::fmt;
 
 use ds_cache::CacheStats;
 use ds_noc::XbarStats;
-use ds_probe::{
-    EpochSample, HostProfile, LatencyReport, LensReport, PulseSeries, SpanTree, StageBreakdown,
-};
+use ds_probe::{EpochSample, HostProfile, LatencyReport, LensReport, PulseSeries, StageBreakdown};
 use ds_sim::Cycle;
 
 use crate::Mode;
@@ -120,13 +118,6 @@ pub struct RunReport {
     /// never feeds back into simulated timing — two runs differing
     /// only in this field are the same simulation.
     pub host: Option<HostProfile>,
-    /// The task's ds-scope span tree (`task → queue-wait | sim-run`
-    /// host-time intervals; under `ds-serve` the service prepends
-    /// request/job/store spans). `None` unless scope collection is
-    /// enabled (`ds_probe::scope::set_enabled`) at full probe level.
-    /// Like [`RunReport::host`], spans never feed back into simulated
-    /// timing.
-    pub scope: Option<SpanTree>,
 }
 
 impl RunReport {
@@ -216,7 +207,6 @@ mod tests {
             epochs: Vec::new(),
             epoch_window: 0,
             host: None,
-            scope: None,
         }
     }
 

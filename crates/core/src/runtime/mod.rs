@@ -1041,9 +1041,6 @@ impl<T: Tracer> System<T> {
             } else {
                 None
             },
-            // The runner's executor fills this in (the runtime knows
-            // nothing of queues or stores).
-            scope: None,
         }
     }
 }

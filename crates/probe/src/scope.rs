@@ -2,15 +2,16 @@
 //!
 //! Every layer of the stack is observable on its own — trace events,
 //! stage accounting, host profiling, service metrics — but nothing
-//! connects an HTTP request to the runner task it spawned or the
+//! connects an HTTP request to the served task it spawned or the
 //! simulated transactions that task produced. This module supplies the
 //! connective tissue:
 //!
 //! * **spans** — [`SpanRecord`]s with explicit parent/child IDs cover
 //!   `request → job → task → (queue-wait | store-lookup | sim-run)`;
-//!   a task's closed spans travel as a [`SpanTree`] riding its run
-//!   report, so one artifact holds the full causal tree down to the
-//!   `StageBreakdown` the sim-run span links to;
+//!   `ds-serve` streams each served task's closed spans and returns
+//!   them with its result, and `ds scope` reads them back as a
+//!   [`SpanTree`] down to the `StageBreakdown` the sim-run span links
+//!   to;
 //! * **telescoping checks** — [`SpanTree::check`] proves a child span
 //!   never leaves its parent's interval and sibling durations sum to
 //!   at most the parent's, and [`SpanTree::reconcile`] splits a task
@@ -20,35 +21,16 @@
 //!   keeps only the most recent trace events in a fixed ring, cheap
 //!   enough to leave armed on fault-injected runs so a watchdog abort
 //!   or panic can ship a postmortem of the simulation's last moments.
-//!
-//! Collection is opt-in and process-global ([`set_enabled`]): with
-//! scope off no span is ever allocated and reports are bit-identical
-//! to a build without this module.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::{TraceEvent, Tracer};
 
-/// Process-global collection switch (default off). Span trees attach
-/// to run reports only while this is enabled *and* the probe level is
-/// full, mirroring the probe-shedding discipline.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Process-global span-id allocator. IDs are unique within a process;
 /// 0 is reserved to mean "no parent".
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-
-/// Enables or disables scope collection process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether scope collection is enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Allocates a fresh process-unique span id (never 0).
 pub fn next_span_id() -> u64 {
@@ -62,7 +44,7 @@ pub enum SpanKind {
     Request,
     /// One submitted job (a batch of tasks).
     Job,
-    /// One runner task (a single simulation's lifecycle).
+    /// One served task (a single simulation's lifecycle).
     Task,
     /// Time a task sat queued before a worker picked it up.
     QueueWait,
@@ -535,8 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn enabled_defaults_off_and_ids_are_unique() {
-        assert!(!enabled());
+    fn span_ids_are_nonzero_and_unique() {
         let a = next_span_id();
         let b = next_span_id();
         assert_ne!(a, 0);

@@ -78,25 +78,44 @@ impl TxnRecord {
 /// transactions. As in the live tracker, marks for transactions that
 /// never began or already completed are ignored, and transactions
 /// still in flight when the stream ends are dropped.
-pub struct Stitch<F> {
+pub struct Stitch<S> {
     router: StageRouter,
     open: HashMap<u64, Vec<(Stage, u64)>>,
-    done: F,
+    done: S,
 }
 
-impl<F: FnMut(TxnRecord)> Stitch<F> {
+/// Where a [`Stitch`] hands each completed transaction: a closure, or
+/// a collector that owns what it gathers, so that a fold run on
+/// another thread can be handed back and read ([`Stitch::into_sink`]).
+pub trait TxnSink {
+    /// Takes one completed transaction.
+    fn take(&mut self, t: TxnRecord);
+}
+
+impl<F: FnMut(TxnRecord)> TxnSink for F {
+    fn take(&mut self, t: TxnRecord) {
+        self(t)
+    }
+}
+
+impl<S: TxnSink> Stitch<S> {
     /// A fold that passes every completed transaction to `done`, in
     /// completion order.
-    pub fn new(done: F) -> Self {
+    pub fn new(done: S) -> Self {
         Stitch {
             router: StageRouter::default(),
             open: HashMap::new(),
             done,
         }
     }
+
+    /// The sink, with every transaction stitched so far.
+    pub fn into_sink(self) -> S {
+        self.done
+    }
 }
 
-impl<F: FnMut(TxnRecord)> Tracer for Stitch<F> {
+impl<S: TxnSink> Tracer for Stitch<S> {
     fn record(&mut self, e: TraceEvent) {
         if !StageRouter::routes(&e.kind) {
             return;
@@ -113,7 +132,7 @@ impl<F: FnMut(TxnRecord)> Tracer for Stitch<F> {
             }
             Mark::Finish { txn, at } => {
                 if let Some(marks) = open.remove(&txn) {
-                    done(TxnRecord {
+                    done.take(TxnRecord {
                         txn,
                         path: marks[0].0.path(),
                         marks,

@@ -1,26 +1,30 @@
 //! The parallel executor.
 //!
-//! [`Runner`] drains a deduplicated task list over `std::thread::scope`
-//! workers pulling indices from a shared atomic counter. This is sound
-//! because each `System::run` is a self-contained seeded simulation —
-//! no shared mutable state — so a parallel sweep is *bit-identical* to
-//! the serial one (asserted by the `determinism` integration test).
-//! Results land in per-task slots, making output order independent of
-//! scheduling.
+//! [`run_task`] is the one way a simulation runs, batch or served: it
+//! looks the task's benchmark up, simulates it with panics caught and
+//! under an optional wall-clock budget, and classifies how it ended.
+//! [`Runner`] drains a task list over `std::thread::scope` workers
+//! pulling from a shared queue, each task with its own tracer. This
+//! is sound because each `System::run` is a self-contained seeded
+//! simulation — no shared mutable state — so a parallel sweep is
+//! *bit-identical* to the serial one (asserted by the `determinism`
+//! integration test). Results land in per-task slots, making output
+//! order independent of scheduling.
 //!
 //! Worker count comes from, in priority order: an explicit
 //! [`Runner::jobs`] call, the `DS_RUNNER_JOBS` environment variable,
 //! and the machine's available parallelism.
 
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ds_core::{Comparison, InputSize, Mode, Pipeline, PipelineError, RunReport, SystemConfig};
-use ds_probe::scope::{self, FlightLog, FlightRecorder, SpanKind, SpanRecord, SpanTree};
-use ds_probe::PulseConfig;
+use ds_probe::scope::{self, FlightLog, FlightRecorder};
+use ds_probe::{NullTracer, PulseConfig, Tracer};
 use ds_workloads::{catalog, Benchmark};
 
 use crate::fingerprint::config_fingerprint;
@@ -43,12 +47,38 @@ pub enum TaskOutcome {
     Panicked(String),
     /// The simulation exceeded the harness wall-clock budget.
     TimedOut,
-    /// Any other failure (translation error, unknown benchmark,
-    /// watchdog abort), rendered as text.
-    Failed(String),
+    /// Any other failure: translation error, unknown benchmark, or
+    /// watchdog abort.
+    Failed(PipelineError),
 }
 
 impl TaskOutcome {
+    /// Classifies how a run ended: a report with degraded pushes is
+    /// [`TaskOutcome::Degraded`].
+    pub fn of(result: Result<RunReport, PipelineError>) -> TaskOutcome {
+        match result {
+            Ok(r) if r.pushes_degraded > 0 => TaskOutcome::Degraded(Box::new(r)),
+            Ok(r) => TaskOutcome::Ok(Box::new(r)),
+            Err(PipelineError::Panicked(msg)) => TaskOutcome::Panicked(msg),
+            Err(PipelineError::TimedOut) => TaskOutcome::TimedOut,
+            Err(e) => TaskOutcome::Failed(e),
+        }
+    }
+
+    /// The report, or the error the run ended with.
+    ///
+    /// # Errors
+    ///
+    /// Every outcome without a report, as its [`PipelineError`].
+    pub fn into_result(self) -> Result<RunReport, PipelineError> {
+        match self {
+            TaskOutcome::Ok(r) | TaskOutcome::Degraded(r) => Ok(*r),
+            TaskOutcome::Panicked(msg) => Err(PipelineError::Panicked(msg)),
+            TaskOutcome::TimedOut => Err(PipelineError::TimedOut),
+            TaskOutcome::Failed(e) => Err(e),
+        }
+    }
+
     /// The completed report, if the run finished (ok or degraded).
     pub fn report(&self) -> Option<&RunReport> {
         match self {
@@ -84,58 +114,45 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one task's simulation with panics converted to
-/// [`PipelineError::Panicked`] so a crashing run cannot take the
-/// worker pool down with it. When a flight `recorder` is armed, trace
-/// events stream into its ring; the shared handle survives the
-/// `catch_unwind` even when the run itself does not.
-fn simulate_isolated(
+/// Runs one task to its outcome: looks its benchmark up in the
+/// catalog, simulates it with `tracer` and panics caught, and
+/// classifies how it ended. The tracer comes back with the outcome
+/// unless the run panicked or was abandoned; a [`FlightRecorder`]
+/// shares its ring, so a clone kept by the caller outlives both.
+///
+/// Under a wall-clock `budget` the simulation runs on a detached
+/// thread that is abandoned on timeout — leaked, since a simulator
+/// offers no preemption point — which is why budgets are opt-in.
+pub fn run_task<T: Tracer + Send + 'static>(
     task: &Task,
-    bench: &Benchmark,
-    recorder: Option<&FlightRecorder>,
-) -> Result<RunReport, PipelineError> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let pipeline = Pipeline::with_config(task.cfg.clone());
+    tracer: T,
+    budget: Option<Duration>,
+) -> (TaskOutcome, Option<T>) {
+    let Some(bench) = catalog::by_code(&task.code) else {
+        let unknown = PipelineError::UnknownBenchmark(task.code.clone());
+        return (TaskOutcome::Failed(unknown), Some(tracer));
+    };
+    let simulate = move |task: &Task| {
         let pulse = (task.pulse > 0).then(|| PulseConfig::with_window(task.pulse));
-        pipeline
-            .run(
-                bench,
-                task.input,
-                task.mode,
-                recorder.cloned(),
-                &task.faults,
-                pulse,
-            )
-            .0
-    }));
-    outcome.unwrap_or_else(|payload| Err(PipelineError::Panicked(panic_message(&*payload))))
-}
-
-/// [`simulate_isolated`] under an optional wall-clock budget. The
-/// timed variant runs the simulation on a detached thread and abandons
-/// it on timeout — the thread is leaked (a simulator offers no
-/// preemption point), which is acceptable for a CLI-lifetime harness
-/// and is why timeouts are opt-in.
-fn simulate_task(
-    task: &Task,
-    bench: &Benchmark,
-    timeout: Option<Duration>,
-    recorder: Option<&FlightRecorder>,
-) -> Result<RunReport, PipelineError> {
-    let Some(limit) = timeout else {
-        return simulate_isolated(task, bench, recorder);
+        let pipeline = Pipeline::with_config(task.cfg.clone());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            pipeline.run(&bench, task.input, task.mode, tracer, &task.faults, pulse)
+        }));
+        match run {
+            Ok((result, probes)) => (TaskOutcome::of(result), Some(probes.tracer)),
+            Err(payload) => (TaskOutcome::Panicked(panic_message(&*payload)), None),
+        }
+    };
+    let Some(limit) = budget else {
+        return simulate(task);
     };
     let (tx, rx) = mpsc::channel();
     let task = task.clone();
-    let bench = bench.clone();
-    let recorder = recorder.cloned();
     std::thread::spawn(move || {
-        let _ = tx.send(simulate_isolated(&task, &bench, recorder.as_ref()));
+        let _ = tx.send(simulate(&task));
     });
-    match rx.recv_timeout(limit) {
-        Ok(result) => result,
-        Err(_) => Err(PipelineError::TimedOut),
-    }
+    rx.recv_timeout(limit)
+        .unwrap_or((TaskOutcome::TimedOut, None))
 }
 
 /// The postmortem file a non-Ok outcome of `task` dumps to when the
@@ -148,48 +165,6 @@ pub fn postmortem_path(dir: &Path, task: &Task) -> PathBuf {
         "{}-{}-{}-{:016x}-{:016x}.json",
         key.code, key.input, key.mode, key.fingerprint, key.fault_fp
     ))
-}
-
-/// Builds the ds-scope span tree for one executed task: the task span
-/// covers enqueue (the batch's epoch) to completion, telescoping into
-/// queue-wait and sim-run children. The sim-run span's label carries
-/// the simulated cycle count, linking down to the report's
-/// `StageBreakdown` transaction records riding the same report.
-fn task_span_tree(task: &Task, report: &RunReport, picked_us: u64, done_us: u64) -> SpanTree {
-    let task_id = scope::next_span_id();
-    let picked_us = picked_us.min(done_us);
-    SpanTree {
-        spans: vec![
-            SpanRecord {
-                id: task_id,
-                parent: 0,
-                kind: SpanKind::Task,
-                label: format!("{} {} {}", task.code, task.input, task.mode),
-                start_us: 0,
-                end_us: done_us,
-            },
-            SpanRecord {
-                id: scope::next_span_id(),
-                parent: task_id,
-                kind: SpanKind::QueueWait,
-                label: String::new(),
-                start_us: 0,
-                end_us: picked_us,
-            },
-            SpanRecord {
-                id: scope::next_span_id(),
-                parent: task_id,
-                kind: SpanKind::SimRun,
-                label: format!(
-                    "{} cycles, {} staged txns",
-                    report.total_cycles.as_u64(),
-                    report.stages.loads + report.stages.pushes
-                ),
-                start_us: picked_us,
-                end_us: done_us,
-            },
-        ],
-    }
 }
 
 /// Serializes a postmortem document. Contents are derived exclusively
@@ -333,7 +308,7 @@ impl Runner {
 
     /// Sets a per-task wall-clock budget. A run that exceeds it is
     /// reported as timed out; its simulation thread is abandoned (see
-    /// `simulate_task` for the trade-off).
+    /// [`run_task`] for the trade-off).
     pub fn task_timeout(mut self, limit: Duration) -> Self {
         self.task_timeout = Some(limit);
         self
@@ -364,8 +339,8 @@ impl Runner {
         self
     }
 
-    /// Simulations actually executed by this runner (memo and disk
-    /// hits excluded) — the metric the warm-cache tests assert on.
+    /// Tasks this runner's pool has run (memo and disk hits excluded)
+    /// — the metric the warm-cache tests assert on.
     pub fn simulations_run(&self) -> u64 {
         self.simulations
     }
@@ -377,39 +352,13 @@ impl Runner {
     ///
     /// Returns the first failing task's error (by task order):
     /// [`PipelineError::UnknownBenchmark`] for a code the catalog does
-    /// not know, or a translation failure. Results of tasks that
-    /// succeeded before the failure stay memoized.
+    /// not know, or a translation failure. Every task that succeeded
+    /// stays memoized.
     pub fn run_tasks(&mut self, tasks: &[Task]) -> Result<Vec<RunReport>, PipelineError> {
-        let keys: Vec<TaskKey> = tasks.iter().map(Task::key).collect();
-
-        // Plan: unique tasks not already served by the store.
-        let mut missing: Vec<(usize, Benchmark)> = Vec::new();
-        let mut planned = std::collections::HashSet::new();
-        for (i, (task, key)) in tasks.iter().zip(&keys).enumerate() {
-            if self.store.get(key).is_some() || !planned.insert(key.clone()) {
-                continue;
-            }
-            let bench = catalog::by_code(&task.code)
-                .ok_or_else(|| PipelineError::UnknownBenchmark(task.code.clone()))?;
-            missing.push((i, bench));
-        }
-
-        if !missing.is_empty() {
-            let failures = self.execute(tasks, &keys, &missing);
-            if let Some(e) = failures.into_iter().flatten().next() {
-                return Err(e);
-            }
-        }
-
-        Ok(keys
-            .iter()
-            .map(|key| {
-                self.store
-                    .get(key)
-                    .expect("every task is memoized after execution")
-                    .clone()
-            })
-            .collect())
+        self.run_tasks_outcomes(tasks)
+            .into_iter()
+            .map(TaskOutcome::into_result)
+            .collect()
     }
 
     /// Runs every task like [`Runner::run_tasks`], but never gives up
@@ -420,43 +369,64 @@ impl Runner {
     pub fn run_tasks_outcomes(&mut self, tasks: &[Task]) -> Vec<TaskOutcome> {
         let keys: Vec<TaskKey> = tasks.iter().map(Task::key).collect();
 
-        let mut missing: Vec<(usize, Benchmark)> = Vec::new();
-        let mut planned = std::collections::HashSet::new();
-        let mut failed: std::collections::HashMap<TaskKey, TaskOutcome> =
-            std::collections::HashMap::new();
-        for (i, (task, key)) in tasks.iter().zip(&keys).enumerate() {
-            if self.store.get(key).is_some() || !planned.insert(key.clone()) {
-                continue;
+        // Plan: one run per key the store cannot serve.
+        let mut planned = HashSet::new();
+        let missing: Vec<usize> = (0..tasks.len())
+            .filter(|&i| self.store.get(&keys[i]).is_none() && planned.insert(&keys[i]))
+            .collect();
+
+        let ran: Vec<TaskOutcome> = if self.postmortem_dir.is_none() {
+            let work = missing.iter().map(|&i| (&tasks[i], NullTracer));
+            self.pool(work).into_iter().map(|(o, _)| o).collect()
+        } else {
+            // Fault-injected tasks run with a flight recorder, whose
+            // ring the postmortem ships; the caller's clone survives a
+            // panicking run.
+            let recorders: Vec<Option<FlightRecorder>> = missing
+                .iter()
+                .map(|&i| tasks[i].faults.is_active().then(FlightRecorder::new))
+                .collect();
+            let work = missing.iter().map(|&i| &tasks[i]).zip(recorders.clone());
+            let ran = self.pool(work);
+            // Dump in task order, so postmortems never depend on
+            // worker scheduling. A timed-out run's ring is abandoned
+            // mid-flight with its leaked thread; snapshotting it would
+            // be wall-clock-dependent, so only decided outcomes
+            // capture one.
+            for ((&i, (outcome, _)), recorder) in missing.iter().zip(&ran).zip(&recorders) {
+                let decided = !matches!(outcome, TaskOutcome::TimedOut);
+                let flight = recorder.as_ref().filter(|_| decided);
+                self.dump_postmortem(&tasks[i], outcome, flight.map(|r| r.snapshot()));
             }
-            match catalog::by_code(&task.code) {
-                Some(bench) => missing.push((i, bench)),
-                None => {
-                    let e = PipelineError::UnknownBenchmark(task.code.clone());
-                    failed.insert(key.clone(), TaskOutcome::Failed(e.to_string()));
+            ran.into_iter().map(|(o, _)| o).collect()
+        };
+
+        // Memoize the successes, persisting each touched fingerprint.
+        let mut failed: HashMap<&TaskKey, TaskOutcome> = HashMap::new();
+        let mut touched: Vec<(u64, &SystemConfig)> = Vec::new();
+        for (&i, outcome) in missing.iter().zip(ran) {
+            match outcome {
+                TaskOutcome::Ok(report) | TaskOutcome::Degraded(report) => {
+                    let fingerprint = keys[i].fingerprint;
+                    if !touched.iter().any(|&(fp, _)| fp == fingerprint) {
+                        touched.push((fingerprint, &tasks[i].cfg));
+                    }
+                    self.store.insert(keys[i].clone(), *report);
+                }
+                failure => {
+                    failed.insert(&keys[i], failure);
                 }
             }
         }
-
-        if !missing.is_empty() {
-            let failures = self.execute(tasks, &keys, &missing);
-            for ((task_idx, _), failure) in missing.iter().zip(failures) {
-                if let Some(e) = failure {
-                    let outcome = match e {
-                        PipelineError::Panicked(msg) => TaskOutcome::Panicked(msg),
-                        PipelineError::TimedOut => TaskOutcome::TimedOut,
-                        other => TaskOutcome::Failed(other.to_string()),
-                    };
-                    failed.insert(keys[*task_idx].clone(), outcome);
-                }
+        if self.store.disk_enabled() {
+            for (fingerprint, cfg) in touched {
+                self.store.persist(fingerprint, cfg);
             }
         }
 
         keys.iter()
             .map(|key| match self.store.get(key) {
-                Some(report) if report.pushes_degraded > 0 => {
-                    TaskOutcome::Degraded(Box::new(report.clone()))
-                }
-                Some(report) => TaskOutcome::Ok(Box::new(report.clone())),
+                Some(report) => TaskOutcome::of(Ok(report.clone())),
                 None => failed
                     .get(key)
                     .cloned()
@@ -465,149 +435,114 @@ impl Runner {
             .collect()
     }
 
-    /// Runs the uncached subset in parallel and folds successes into
-    /// the store. Returns one entry per `missing` item: `None` for a
-    /// memoized success, `Some(error)` otherwise.
-    fn execute(
+    /// Runs every task with its own tracer from `tracers` (one per
+    /// task, in order) and hands each tracer back with the task's
+    /// outcome, as [`run_task`] does. Traced runs bypass the memo, the
+    /// disk cache and postmortems: every task runs, duplicates
+    /// included, since each tracer must see its run's stream.
+    ///
+    /// # Panics
+    ///
+    /// If `tasks` and `tracers` differ in length.
+    pub fn run_traced<T: Tracer + Send + 'static>(
         &mut self,
         tasks: &[Task],
-        keys: &[TaskKey],
-        missing: &[(usize, Benchmark)],
-    ) -> Vec<Option<PipelineError>> {
-        let total = missing.len();
-        let workers = self.jobs.min(total).max(1);
-        let progress = self.progress;
+        tracers: Vec<T>,
+    ) -> Vec<(TaskOutcome, Option<T>)> {
+        assert_eq!(tasks.len(), tracers.len(), "one tracer per task");
+        self.pool(tasks.iter().zip(tracers))
+    }
+
+    /// Runs each `(task, tracer)` pair through [`run_task`] on the
+    /// worker pool, returning the results in input order.
+    fn pool<'t, T: Tracer + Send + 'static>(
+        &mut self,
+        work: impl Iterator<Item = (&'t Task, T)>,
+    ) -> Vec<(TaskOutcome, Option<T>)> {
+        let work: Vec<(&Task, T)> = work.collect();
+        let total = work.len();
+        if total == 0 {
+            return Vec::new();
+        }
+        let workers = self.jobs.min(total);
+        let (progress, budget) = (self.progress, self.task_timeout);
         if progress {
             eprintln!("ds-runner: {total} job(s) to simulate on {workers} worker(s)");
         }
 
-        let next = AtomicUsize::new(0);
+        let queue = Mutex::new(work.into_iter().enumerate());
         let done = AtomicUsize::new(0);
-        let simulated = AtomicU64::new(0);
-        let timeout = self.task_timeout;
-        let postmortems = self.postmortem_dir.is_some();
-        // Scope spans are host-time observations; like host profiles
-        // they attach only when explicitly enabled at full probe
-        // level, so default runs stay bit-identical.
-        let scoped = scope::enabled() && ds_probe::prof::level() == ds_probe::ProbeLevel::Full;
-        let epoch = Instant::now();
-        type SlotValue = (Result<RunReport, PipelineError>, Option<FlightLog>);
-        let slots: Vec<OnceLock<SlotValue>> = (0..total).map(|_| OnceLock::new()).collect();
-
-        std::thread::scope(|scope_| {
-            for _ in 0..workers {
-                scope_.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= total {
-                        break;
-                    }
-                    let (task_idx, bench) = &missing[slot];
-                    let task = &tasks[*task_idx];
-                    let started = Instant::now();
-                    let picked_us = epoch.elapsed().as_micros() as u64;
-                    // The flight recorder arms on fault-injected tasks
-                    // only: that is where watchdog aborts live, and it
-                    // keeps the plain sweep path tracer-free.
-                    let recorder =
-                        (postmortems && task.faults.is_active()).then(FlightRecorder::new);
-                    let mut result = simulate_task(task, bench, timeout, recorder.as_ref());
-                    if scoped {
-                        if let Ok(report) = &mut result {
-                            let done_us = epoch.elapsed().as_micros() as u64;
-                            report.scope = Some(task_span_tree(task, report, picked_us, done_us));
+        let mut ran: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut ran = Vec::new();
+                        loop {
+                            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some((i, (task, tracer))) = next else {
+                                break ran;
+                            };
+                            let started = Instant::now();
+                            let run = run_task(task, tracer, budget);
+                            if progress {
+                                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                                let what = format!(
+                                    "[{n}/{total}] {} {} {}",
+                                    task.code, task.input, task.mode
+                                );
+                                match &run.0 {
+                                    TaskOutcome::Ok(r) | TaskOutcome::Degraded(r) => eprintln!(
+                                        "ds-runner: {what}: {} cycles ({} ms)",
+                                        r.total_cycles.as_u64(),
+                                        started.elapsed().as_millis()
+                                    ),
+                                    failure => eprintln!(
+                                        "ds-runner: {what}: FAILED: {}",
+                                        failure
+                                            .clone()
+                                            .into_result()
+                                            .expect_err("an outcome without a report is an error")
+                                    ),
+                                }
+                            }
+                            ran.push((i, run));
                         }
-                    }
-                    // A timed-out run's ring is abandoned mid-flight
-                    // with its leaked thread; snapshotting it would be
-                    // wall-clock-dependent, so only decided outcomes
-                    // capture one.
-                    let flight = match (&result, &recorder) {
-                        (Err(PipelineError::TimedOut), _) => None,
-                        (_, Some(rec)) => Some(rec.snapshot()),
-                        _ => None,
-                    };
-                    simulated.fetch_add(1, Ordering::Relaxed);
-                    if progress {
-                        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        match &result {
-                            Ok(r) => eprintln!(
-                                "ds-runner: [{n}/{total}] {} {} {}: {} cycles ({} ms)",
-                                task.code,
-                                task.input,
-                                task.mode,
-                                r.total_cycles.as_u64(),
-                                started.elapsed().as_millis()
-                            ),
-                            Err(e) => eprintln!(
-                                "ds-runner: [{n}/{total}] {} {} {}: FAILED: {e}",
-                                task.code, task.input, task.mode
-                            ),
-                        }
-                    }
-                    slots[slot]
-                        .set((result, flight))
-                        .unwrap_or_else(|_| panic!("slot {slot} written twice"));
-                });
-            }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("run_task catches simulation panics"))
+                .collect()
         });
-        self.simulations += simulated.into_inner();
-
-        // Fold results in task order so failure reporting — and
-        // postmortem dumping — is deterministic regardless of worker
-        // scheduling.
-        let mut failures = Vec::with_capacity(missing.len());
-        let mut touched_fingerprints = Vec::new();
-        for ((task_idx, _), slot) in missing.iter().zip(slots) {
-            let key = &keys[*task_idx];
-            let (result, flight) = slot.into_inner().expect("worker filled every slot");
-            self.dump_postmortem(&tasks[*task_idx], &result, flight.as_ref());
-            match result {
-                Ok(report) => {
-                    if !touched_fingerprints.contains(&key.fingerprint) {
-                        touched_fingerprints.push(key.fingerprint);
-                    }
-                    self.store.insert(key.clone(), report);
-                    failures.push(None);
-                }
-                Err(e) => failures.push(Some(e)),
-            }
-        }
-        if self.store.disk_enabled() {
-            for fp in touched_fingerprints {
-                let (idx, _) = missing
-                    .iter()
-                    .find(|(i, _)| keys[*i].fingerprint == fp)
-                    .expect("fingerprint came from this missing set");
-                self.store.persist(fp, &tasks[*idx].cfg);
-            }
-        }
-        failures
+        self.simulations += total as u64;
+        ran.sort_by_key(|&(i, _)| i);
+        ran.into_iter().map(|(_, run)| run).collect()
     }
 
-    /// Writes `task`'s postmortem file when postmortems are enabled
-    /// and the result is anything but a clean Ok. Best-effort like the
-    /// cache: IO failures are reported on stderr, never fatal.
-    fn dump_postmortem(
-        &self,
-        task: &Task,
-        result: &Result<RunReport, PipelineError>,
-        flight: Option<&FlightLog>,
-    ) {
+    /// Writes `task`'s postmortem file unless it finished clean Ok.
+    /// Best-effort like the cache: IO failures are reported on stderr,
+    /// never fatal.
+    fn dump_postmortem(&self, task: &Task, outcome: &TaskOutcome, flight: Option<FlightLog>) {
         let Some(dir) = &self.postmortem_dir else {
             return;
         };
-        let (tag, detail, report) = match result {
-            Ok(r) if r.pushes_degraded > 0 => ("degraded", None, Some(r)),
-            Ok(_) => return,
-            Err(PipelineError::Panicked(msg)) => ("panicked", Some(msg.clone()), None),
-            Err(PipelineError::TimedOut) => (
-                "timed-out",
-                Some("wall-clock budget exceeded; simulation thread abandoned".to_string()),
-                None,
-            ),
-            Err(e) => ("failed", Some(e.to_string()), None),
+        let detail = match outcome {
+            TaskOutcome::Ok(_) => return,
+            TaskOutcome::Degraded(_) => None,
+            TaskOutcome::Panicked(msg) => Some(msg.clone()),
+            TaskOutcome::TimedOut => {
+                Some("wall-clock budget exceeded; simulation thread abandoned".to_string())
+            }
+            TaskOutcome::Failed(e) => Some(e.to_string()),
         };
-        let doc = postmortem_doc(task, tag, detail.as_deref(), report, flight);
+        let doc = postmortem_doc(
+            task,
+            outcome.tag(),
+            detail.as_deref(),
+            outcome.report(),
+            flight.as_ref(),
+        );
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!(
                 "ds-runner: cannot create postmortem dir {}: {e}",
@@ -746,7 +681,10 @@ mod tests {
         ]);
         assert_eq!(outcomes.len(), 2);
         assert!(
-            matches!(&outcomes[0], TaskOutcome::Failed(msg) if msg.contains("NOPE")),
+            matches!(
+                &outcomes[0],
+                TaskOutcome::Failed(PipelineError::UnknownBenchmark(code)) if code == "NOPE"
+            ),
             "{:?}",
             outcomes[0].tag()
         );

@@ -10,9 +10,11 @@
 //!   benchmark code + input size + mode + full [`SystemConfig`];
 //!   identity is the config's stable [`config_fingerprint`] plus the
 //!   three coordinates ([`job`]).
-//! * [`Runner`] — the parallel executor: `std::thread::scope` workers
-//!   over a shared atomic queue, `--jobs N` / `DS_RUNNER_JOBS`
-//!   control, results bit-identical to a serial run ([`exec`]).
+//! * [`run_task`] / [`Runner`] — the executor: one function runs a
+//!   task to its outcome, for batch and served runs alike, and the
+//!   runner drains task lists over `std::thread::scope` workers with a
+//!   tracer per task, `--jobs N` / `DS_RUNNER_JOBS` control, results
+//!   bit-identical to a serial run ([`exec`]).
 //! * [`store::ResultStore`] — in-process memo plus the on-disk JSON
 //!   cache under `results/`, invalidated by fingerprint ([`store`]).
 //! * [`shared::SharedStore`] — the concurrency-safe, single-flight,
@@ -54,13 +56,12 @@ pub mod report;
 pub mod shared;
 pub mod store;
 
-pub use exec::{default_jobs, panic_message, postmortem_path, Runner, TaskOutcome};
+pub use exec::{default_jobs, panic_message, postmortem_path, run_task, Runner, TaskOutcome};
 pub use fingerprint::{config_fingerprint, fnv1a};
 pub use job::{dedup_tasks, fault_fingerprint, sweep_tasks, Task, TaskKey};
 pub use report::{
     comparison_csv_row, comparison_to_json, report_csv_row, report_from_json, report_to_json,
-    scope_from_json, scope_to_json, span_from_json, span_to_json, COMPARISON_CSV_HEADER,
-    REPORT_CSV_HEADER,
+    span_from_json, span_to_json, COMPARISON_CSV_HEADER, REPORT_CSV_HEADER,
 };
 pub use shared::{Provenance, SharedStore, StoreStats};
 pub use store::ResultStore;

@@ -13,7 +13,7 @@ use ds_probe::pulse::{PULSE_COUNTER_NAMES, PULSE_GAUGE_NAMES};
 use ds_probe::{
     BankTraffic, EpochSample, EpochTotals, HostPhase, HostProfile, LatencyReport, LensReport,
     LinkTraffic, NetId, PulseAnomaly, PulseAnomalyKind, PulseSeries, PulseTotals, SliceTraffic,
-    SpanKind, SpanRecord, SpanTree, Stage, StageBreakdown,
+    SpanKind, SpanRecord, Stage, StageBreakdown,
 };
 use ds_sim::{Cycle, Histogram};
 
@@ -282,24 +282,6 @@ pub fn span_from_json(json: &Json) -> Result<SpanRecord, String> {
             .to_string(),
         start_us: u64_field(json, "start_us")?,
         end_us: u64_field(json, "end_us")?,
-    })
-}
-
-/// Serializes a ds-scope span tree as an array of spans, parents
-/// before children (the tree's own recorded order).
-pub fn scope_to_json(t: &SpanTree) -> Json {
-    Json::Arr(t.spans.iter().map(span_to_json).collect())
-}
-
-/// Deserializes a tree written by [`scope_to_json`].
-///
-/// # Errors
-///
-/// Returns the first span's decode error.
-pub fn scope_from_json(json: &Json) -> Result<SpanTree, String> {
-    let spans = json.as_arr().ok_or("span tree is not an array")?;
-    Ok(SpanTree {
-        spans: spans.iter().map(span_from_json).collect::<Result<_, _>>()?,
     })
 }
 
@@ -632,10 +614,9 @@ fn lens_from_json(json: &Json) -> Result<LensReport, String> {
     })
 }
 
-/// Serializes a full run report. The `host` profile, the `scope` span
-/// tree and the `pulse` series are emitted only when present, so
-/// reports from unprofiled, unscoped, unpulsed runs stay
-/// byte-identical to the older encodings.
+/// Serializes a full run report. The `host` profile and the `pulse`
+/// series are emitted only when present, so reports from unprofiled,
+/// unpulsed runs stay byte-identical to the older encodings.
 pub fn report_to_json(r: &RunReport) -> Json {
     let mut fields = vec![
         ("mode".into(), Json::Str(mode_name(r.mode))),
@@ -694,9 +675,6 @@ pub fn report_to_json(r: &RunReport) -> Json {
     ];
     if let Some(host) = &r.host {
         fields.push(("host".into(), host_to_json(host)));
-    }
-    if let Some(scope) = &r.scope {
-        fields.push(("scope".into(), scope_to_json(scope)));
     }
     if let Some(pulse) = &r.pulse {
         fields.push(("pulse".into(), pulse_to_json(pulse)));
@@ -823,10 +801,6 @@ pub fn report_from_json(json: &Json) -> Result<RunReport, String> {
         events: u64_field(json, "events")?,
         host: match json.get("host") {
             Some(h) => Some(host_from_json(h)?),
-            None => None,
-        },
-        scope: match json.get("scope") {
-            Some(s) => Some(scope_from_json(s)?),
             None => None,
         },
         pulse: match json.get("pulse") {
@@ -1074,7 +1048,6 @@ mod tests {
             epoch_window: 1000,
             events: 99_999,
             host: None,
-            scope: None,
             pulse: None,
         }
     }
@@ -1091,37 +1064,6 @@ mod tests {
         t.counters[ctr::PUSHES_RETRIED] = 21;
         sampler.finish(1500, t);
         sampler.into_series()
-    }
-
-    fn sample_scope() -> SpanTree {
-        SpanTree {
-            spans: vec![
-                SpanRecord {
-                    id: 41,
-                    parent: 0,
-                    kind: SpanKind::Task,
-                    label: "VA small DS".into(),
-                    start_us: 0,
-                    end_us: 5_000,
-                },
-                SpanRecord {
-                    id: 42,
-                    parent: 41,
-                    kind: SpanKind::QueueWait,
-                    label: String::new(),
-                    start_us: 0,
-                    end_us: 120,
-                },
-                SpanRecord {
-                    id: 43,
-                    parent: 41,
-                    kind: SpanKind::SimRun,
-                    label: "sim".into(),
-                    start_us: 120,
-                    end_us: 5_000,
-                },
-            ],
-        }
     }
 
     fn sample_host() -> HostProfile {
@@ -1162,24 +1104,6 @@ mod tests {
         assert!(!bare.contains("\"host\""));
         let parsed = crate::json::parse(&bare).unwrap();
         assert!(report_from_json(&parsed).unwrap().host.is_none());
-    }
-
-    #[test]
-    fn scope_tree_round_trips_exactly_and_is_optional() {
-        let mut original = sample_report(Mode::DirectStore);
-        original.scope = Some(sample_scope());
-        let text = report_to_json(&original).pretty();
-        assert!(text.contains("\"scope\""));
-        let parsed = crate::json::parse(&text).unwrap();
-        let back = report_from_json(&parsed).unwrap();
-        assert_eq!(format!("{original:?}"), format!("{back:?}"));
-
-        // Unscoped reports omit the key entirely and decode to None —
-        // the fig4 bit-identity guarantee rests on this.
-        let bare = report_to_json(&sample_report(Mode::DirectStore)).pretty();
-        assert!(!bare.contains("\"scope\""));
-        let parsed = crate::json::parse(&bare).unwrap();
-        assert!(report_from_json(&parsed).unwrap().scope.is_none());
     }
 
     #[test]
@@ -1232,7 +1156,15 @@ mod tests {
 
     #[test]
     fn span_from_json_rejects_unknown_kind() {
-        let mut json = span_to_json(&sample_scope().spans[0]);
+        let span = SpanRecord {
+            id: 41,
+            parent: 0,
+            kind: SpanKind::Task,
+            label: "VA small DS".into(),
+            start_us: 0,
+            end_us: 5_000,
+        };
+        let mut json = span_to_json(&span);
         if let Json::Obj(fields) = &mut json {
             for (k, v) in fields.iter_mut() {
                 if k == "kind" {

@@ -17,8 +17,8 @@
 //!    round-trips reports losslessly.
 //! 3. **Exact accounting** — every request is classified as a hit
 //!    (memo/disk), a coalesced hit, or a miss (this caller computed),
-//!    and `hits + misses == requests` always holds ([`StoreStats`]);
-//!    `ds serve --check` audits exactly this identity.
+//!    and `hits + misses == requests` always holds ([`StoreStats`];
+//!    the `ds-serve` service tests assert it over HTTP).
 //!
 //! Failed computations (panic, timeout, watchdog abort) are *not*
 //! memoized: the outcome is returned to the requester, waiters retry,
@@ -46,7 +46,7 @@ pub enum Provenance {
 }
 
 /// Request accounting for the shared store. The invariant every
-/// consumer may rely on (and `ds serve --check` audits):
+/// consumer may rely on:
 /// `hits + misses == requests`, with `coalesced <= hits` and
 /// `failed <= misses`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,7 +162,7 @@ impl SharedStore {
         let mut waited = false;
         loop {
             if let Some(report) = inner.store.get(&key) {
-                let outcome = outcome_of(report.clone());
+                let outcome = TaskOutcome::of(Ok(report.clone()));
                 inner.stats.hits += 1;
                 if waited {
                     inner.stats.coalesced += 1;
@@ -218,15 +218,6 @@ impl std::fmt::Debug for SharedStore {
             .field("in_flight", &inner.in_flight.len())
             .field("stats", &inner.stats)
             .finish()
-    }
-}
-
-/// Classifies a completed report the way `run_tasks_outcomes` does.
-fn outcome_of(report: RunReport) -> TaskOutcome {
-    if report.pushes_degraded > 0 {
-        TaskOutcome::Degraded(Box::new(report))
-    } else {
-        TaskOutcome::Ok(Box::new(report))
     }
 }
 

@@ -32,7 +32,8 @@ use crate::report::{mode_name, parse_input, parse_mode, report_from_json, report
 /// `pushes_degraded`, `faults_injected`, lens `push_degraded`);
 /// version 6 added the optional `host` profile (ds-prof host-time
 /// self-accounting); version 7 added the optional `scope` span tree
-/// (ds-scope correlated span tracing); version 8 added the optional
+/// (ds-scope correlated span tracing; no report carries it any more,
+/// and none was ever persisted); version 8 added the optional
 /// `pulse` time-series telemetry (ds-pulse windowed counters, gauges
 /// and anomaly annotations).
 const FORMAT_VERSION: u64 = 8;
@@ -104,16 +105,7 @@ impl ResultStore {
             .and_then(|text| parse_cache_file(&text, fingerprint));
         match parsed {
             Ok(entries) => {
-                for (key, mut report) in entries {
-                    // Span trees are host-time artifacts of the run
-                    // that produced the cache file. A scope-disabled
-                    // consumer must see reports bit-identical to a
-                    // scope-less run regardless of cache history, so
-                    // the stale tree is shed on load (mirroring the
-                    // probe-level persist discipline).
-                    if !ds_probe::scope::enabled() {
-                        report.scope = None;
-                    }
+                for (key, report) in entries {
                     self.memo.entry(key).or_insert(report);
                 }
             }
@@ -349,7 +341,6 @@ pub(crate) fn test_report(cycles: u64) -> RunReport {
         epoch_window: 0,
         events: 0,
         host: None,
-        scope: None,
         pulse: None,
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ds_core::{FaultPlan, InputSize, Mode, SystemConfig};
+use ds_core::{FaultPlan, InputSize, Mode, PipelineError, SystemConfig};
 use ds_runner::{report_to_json, Runner, Task, TaskOutcome};
 
 fn delay_plan(seed: u64) -> FaultPlan {
@@ -48,7 +48,7 @@ fn stalled_dram_bank_aborts_with_a_deadlock_diagnostic() {
         .recv_timeout(Duration::from_secs(120))
         .expect("watchdog must abort the run well within the bound");
     match &outcomes[..] {
-        [TaskOutcome::Failed(msg)] => {
+        [TaskOutcome::Failed(PipelineError::Aborted(msg))] => {
             assert!(msg.contains("deadlock"), "{msg}");
             assert!(
                 msg.contains("mshr") || msg.contains("in flight"),

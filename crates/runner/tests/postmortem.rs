@@ -1,6 +1,5 @@
 //! Crash postmortems are deterministic: the same faulted task dumps
 //! byte-identical flight-recorder files regardless of worker count.
-//! (The span-tree audits live in `ds check`, `crates/bench/src/audit.rs`.)
 
 use std::path::PathBuf;
 

@@ -1,13 +1,14 @@
 //! End-to-end guarantees of the tracing layer: the JSONL rendering of
 //! a traced run is byte-identical whether the simulation executes
-//! alone ("--jobs 1") or concurrently with other worker threads
-//! ("--jobs N") — tracing inherits the simulator's determinism — and
-//! the Chrome sink writes well-formed, ordered tracks. (That a CCSM
+//! alone ("--jobs 1") or concurrently with other runs on the runner's
+//! pool ("--jobs N") — tracing inherits the simulator's determinism —
+//! and the Chrome sink writes well-formed, ordered tracks. (That a CCSM
 //! trace never touches the direct network, and that recording
 //! perturbs nothing, is audited in `crates/bench/tests/audit.rs`.)
 
 use ds_core::{FaultPlan, InputSize, Mode, Pipeline, SystemConfig};
 use ds_probe::{jsonl, BufferTracer};
+use ds_runner::{Runner, Task};
 use ds_workloads::catalog;
 
 fn traced_run(code: &str, mode: Mode) -> BufferTracer {
@@ -31,23 +32,31 @@ fn jsonl_trace_is_byte_identical_between_serial_and_parallel_execution() {
     let tracer = traced_run("MM", Mode::DirectStore);
     let serial = jsonl::render(tracer.events());
 
-    // "--jobs N": the same traced run on 4 concurrent worker threads.
-    let parallel: Vec<String> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                scope.spawn(|| {
-                    let tracer = traced_run("MM", Mode::DirectStore);
-                    jsonl::render(tracer.events())
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
+    // "--jobs N": the same task four times on the runner's 4-worker
+    // pool, one tracer each, and once untraced.
+    let task = Task::new(
+        &SystemConfig::paper_default(),
+        "MM",
+        InputSize::Small,
+        Mode::DirectStore,
+    );
+    let mut runner = Runner::new().jobs(4).progress(false);
+    let traced = runner.run_traced(&vec![task.clone(); 4], vec![BufferTracer::new(); 4]);
+    let plain = runner.run_tasks(&[task]).expect("MM runs");
 
-    for text in &parallel {
+    assert_eq!(traced.len(), 4);
+    for (outcome, tracer) in traced {
+        let tracer = tracer.expect("a completed run hands its tracer back");
         assert_eq!(
-            text, &serial,
+            jsonl::render(tracer.events()),
+            serial,
             "trace bytes must not depend on worker-thread count"
+        );
+        let report = outcome.report().expect("MM runs");
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", plain[0]),
+            "a traced run reports what the untraced one does"
         );
     }
 }

@@ -187,8 +187,11 @@ fn job_results(job: &JobRecord) -> Response {
                         TaskOutcome::Ok(report) | TaskOutcome::Degraded(report) => {
                             fields.push(("report".into(), report_to_json(report)));
                         }
-                        TaskOutcome::Panicked(msg) | TaskOutcome::Failed(msg) => {
+                        TaskOutcome::Panicked(msg) => {
                             fields.push(("detail".into(), Json::Str(msg.clone())));
+                        }
+                        TaskOutcome::Failed(e) => {
+                            fields.push(("detail".into(), Json::Str(e.to_string())));
                         }
                         TaskOutcome::TimedOut => {}
                     }

@@ -4,8 +4,8 @@
 //! service speaks just enough HTTP/1.1 itself: one request per
 //! connection (`Connection: close`), `Content-Length` bodies, JSON
 //! payloads. The same module supplies the client used by `ds
-//! submit|stress`, `ds serve --check` and the CI smoke gate, so the wire format
-//! is exercised from both ends by every test run.
+//! submit|stress`, the service tests and the CI smoke gate, so the wire
+//! format is exercised from both ends by every test run.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -798,7 +798,7 @@ mod tests {
         queue.complete(
             &b,
             TaskResult {
-                outcome: TaskOutcome::Failed("b".into()),
+                outcome: TaskOutcome::Panicked("b".into()),
                 provenance: Provenance::Computed,
                 spans: vec![],
             },
@@ -806,17 +806,17 @@ mod tests {
         queue.complete(
             &a,
             TaskResult {
-                outcome: TaskOutcome::Failed("a".into()),
+                outcome: TaskOutcome::Panicked("a".into()),
                 provenance: Provenance::Hit,
                 spans: vec![],
             },
         );
         let results = job.results();
         assert!(
-            matches!(&results[0].as_ref().unwrap().outcome, TaskOutcome::Failed(m) if m == "a")
+            matches!(&results[0].as_ref().unwrap().outcome, TaskOutcome::Panicked(m) if m == "a")
         );
         assert!(
-            matches!(&results[1].as_ref().unwrap().outcome, TaskOutcome::Failed(m) if m == "b")
+            matches!(&results[1].as_ref().unwrap().outcome, TaskOutcome::Panicked(m) if m == "b")
         );
     }
 }

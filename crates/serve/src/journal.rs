@@ -769,7 +769,8 @@ mod tests {
         let tasks = sample_tasks();
         {
             let (journal, recovery) = Journal::open(&dir).unwrap();
-            assert!(recovery.jobs.is_empty());
+            assert!(recovery.jobs.is_empty(), "a fresh journal starts empty");
+            assert!(!recovery.torn_tail && recovery.quarantined.is_none());
             journal.job_submitted(3, "key-a", &tasks);
             journal.task_started(3, 0);
             journal.task_done(3, 0, "ok");

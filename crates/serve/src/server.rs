@@ -11,9 +11,10 @@
 //! * **workers** (sized like `ds-runner`: `--workers` /
 //!   `DS_RUNNER_JOBS` / available parallelism) drain the job queue
 //!   through the [`SharedStore`], so identical tasks across jobs and
-//!   users are computed once and every computation rides the hardened
-//!   `run_tasks_outcomes` machinery (panic isolation, wall-clock
-//!   timeouts, degradation accounting).
+//!   users are computed once, and every computation runs through
+//!   [`ds_runner::run_task`], the per-task function batch runs use
+//!   too (panic isolation, wall-clock timeouts, outcome
+//!   classification).
 //!
 //! Shutdown (`POST /shutdown` or [`Server::begin_shutdown`]) stops
 //! admission, abandons queued-but-unstarted work, lets in-flight
@@ -28,10 +29,10 @@ use std::time::{Duration, Instant};
 
 use ds_probe::pulse::{ctr, gauge};
 use ds_probe::scope::{self, SpanKind, SpanRecord};
-use ds_probe::{PulseSeries, ServiceMetrics};
+use ds_probe::{NullTracer, PulseSeries, ServiceMetrics};
 use ds_runner::json::Json;
 use ds_runner::shared::SharedStore;
-use ds_runner::{default_jobs, panic_message, Runner, Task, TaskOutcome};
+use ds_runner::{default_jobs, panic_message, run_task, Task, TaskOutcome};
 
 use crate::http::{read_request, write_response, Request, Response};
 use crate::jobs::{JobQueue, JobRecord, TaskResult, WorkItem};
@@ -68,7 +69,7 @@ pub struct ServeOptions {
     pub handlers: usize,
     /// Admission bound: maximum open (accepted, unfinished) jobs.
     pub queue_limit: usize,
-    /// Per-task wall-clock budget, forwarded to the runner.
+    /// Per-task wall-clock budget, forwarded to [`run_task`].
     pub task_timeout: Option<Duration>,
     /// On-disk result-cache directory (`results/` by convention);
     /// `None` keeps the store memory-only.
@@ -287,28 +288,20 @@ impl ServeState {
         *self.pulse.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Computes (or serves from the shared store) one task, riding
-    /// the hardened one-shot runner: panic isolation, optional
-    /// wall-clock timeout, degradation classification. The returned
-    /// result carries `store-lookup` / `sim-run` spans parented on
-    /// `task_span` (the worker adds the `task` and `queue-wait`
-    /// spans, which only it can time).
+    /// Computes (or serves from the shared store) one task through
+    /// [`run_task`]: panic isolation, the optional wall-clock budget,
+    /// outcome classification. The returned result carries
+    /// `store-lookup` / `sim-run` spans parented on `task_span` (the
+    /// worker adds the `task` and `queue-wait` spans, which only it
+    /// can time).
     pub fn run_task(&self, task: &Task, task_span: u64) -> TaskResult {
-        let timeout = self.options.task_timeout;
         let lookup_start = self.now_us();
         // Filled inside the compute closure; stays `None` on a store
         // hit or when this lookup coalesced onto another computation.
         let sim_interval: Mutex<Option<(u64, u64)>> = Mutex::new(None);
         let (outcome, provenance) = self.store.get_or_compute(task, || {
             let sim_start = self.now_us();
-            let mut runner = Runner::new().jobs(1).progress(false);
-            if let Some(limit) = timeout {
-                runner = runner.task_timeout(limit);
-            }
-            let outcome = runner
-                .run_tasks_outcomes(std::slice::from_ref(task))
-                .pop()
-                .unwrap_or(TaskOutcome::Failed("runner returned no outcome".into()));
+            let (outcome, _) = run_task(task, NullTracer, self.options.task_timeout);
             *sim_interval.lock().unwrap_or_else(|e| e.into_inner()) =
                 Some((sim_start, self.now_us()));
             outcome
@@ -833,7 +826,7 @@ impl Server {
         self.addr
     }
 
-    /// The shared state (for in-process harnesses and `--check`).
+    /// The shared state (for in-process harnesses and tests).
     pub fn state(&self) -> &Arc<ServeState> {
         &self.state
     }

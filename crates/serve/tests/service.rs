@@ -1,6 +1,7 @@
 //! End-to-end service tests over real loopback TCP: concurrent
-//! submitters sharing one computation, cross-instance disk-cache
-//! reuse, deterministic rejection, and the `ds run`-equivalence fold.
+//! submitters sharing one computation, duplicate tasks within a job,
+//! timed-out tasks, cross-instance disk-cache reuse, deterministic
+//! rejection, and the `ds run`-equivalence fold.
 
 use std::time::Duration;
 
@@ -27,6 +28,15 @@ fn start(options: ServeOptions) -> (Server, String) {
     (server, url)
 }
 
+/// Submits `body` as one job, waits, and returns the results doc.
+fn run_job(url: &str, body: &str) -> Json {
+    let SubmitAnswer::Accepted { id, .. } = client::submit(url, body).unwrap() else {
+        panic!("submission rejected");
+    };
+    client::wait_done(url, id, Duration::from_secs(300)).unwrap();
+    client::fetch_results(url, id).unwrap()
+}
+
 /// Submits the VA small sweep, waits, and returns the results doc.
 fn run_va_sweep(url: &str) -> Json {
     let body = client::sweep_body(
@@ -42,19 +52,19 @@ fn run_va_sweep(url: &str) -> Json {
     client::fetch_results(url, id).unwrap()
 }
 
-fn provenances(results: &Json) -> Vec<String> {
+/// One string field of every result row, in task order.
+fn column(results: &Json, field: &str) -> Vec<String> {
     results
         .get("results")
         .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .map(|row| {
-            row.get("provenance")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string()
-        })
+        .map(|row| row.get(field).and_then(Json::as_str).unwrap().to_string())
         .collect()
+}
+
+fn provenances(results: &Json) -> Vec<String> {
+    column(results, "provenance")
 }
 
 fn shutdown(url: &str, server: Server) {
@@ -105,6 +115,55 @@ fn concurrent_submitters_share_one_computation_bit_identically() {
     let computed = all.iter().filter(|p| *p == "computed").count();
     assert_eq!(computed, 2, "one computation per unique key: {all:?}");
 
+    shutdown(&url, server);
+}
+
+#[test]
+fn identical_tasks_in_one_job_compute_once_and_repeat_as_hits() {
+    let (server, url) = start(mem_options());
+    let body = r#"{"tasks": [
+        {"bench": "VA", "input": "small", "mode": "ds"},
+        {"bench": "VA", "input": "small", "mode": "ds"}
+    ]}"#;
+    let first = provenances(&run_job(&url, body));
+    assert_eq!(first.len(), 2, "{first:?}");
+    let computed = first.iter().filter(|p| *p == "computed").count();
+    assert_eq!(computed, 1, "the duplicate coalesces or hits: {first:?}");
+    let repeat = provenances(&run_job(&url, body));
+    assert_eq!(repeat, ["hit", "hit"], "a repeat job is all store hits");
+
+    let stats = server.state().store.stats();
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!(
+        (stats.requests, stats.misses, stats.hits),
+        (4, 1, 3),
+        "{stats:?}"
+    );
+    shutdown(&url, server);
+}
+
+#[test]
+fn timed_out_tasks_report_computed_and_are_never_memoized() {
+    let (server, url) = start(ServeOptions {
+        task_timeout: Some(Duration::ZERO),
+        ..mem_options()
+    });
+    let body = r#"{"tasks": [{"bench": "VA", "input": "small", "mode": "ds"}]}"#;
+    // The resubmission computes again: a failure never enters the
+    // store.
+    for attempt in 1..=2 {
+        let results = run_job(&url, body);
+        assert_eq!(column(&results, "outcome"), ["timed-out"]);
+        assert_eq!(provenances(&results), ["computed"]);
+        let stats = server.state().store.stats();
+        assert!(stats.reconciles(), "{stats:?}");
+        assert_eq!(
+            (stats.requests, stats.misses, stats.failed),
+            (attempt, attempt, attempt),
+            "{stats:?}"
+        );
+    }
+    assert!(server.state().store.is_empty());
     shutdown(&url, server);
 }
 

@@ -50,9 +50,9 @@ test -s "$smoke_dir/va-xray.txt"
 echo "==> ds check (every audit over the small catalog, both modes)"
 # One plain run per task, audited on its own (lens, stage accounting,
 # CCSM push quiescence, the paper's Fig. 4/5 shape), then one observed
-# run per probe level with the profiler on (pulse, span tracing and an
-# inactive seeded fault plan at full; the live transaction stitcher at
-# stages and minimal), each equal to the plain run field for field;
+# run per probe level with the profiler on (pulse and an inactive
+# seeded fault plan at full; the live transaction stitcher at stages
+# and minimal), each equal to the plain, untraced run field for field;
 # then the push ledger under delay + duplicate faults and the seeded
 # pulse-anomaly run. Exits 1 naming the audit and the task of any
 # violation.
@@ -106,9 +106,6 @@ results/ablate_directory.txt ./target/release/ds ablate directory
 results/ablate_dram.txt ./target/release/ds ablate dram
 ds-gauge/pinned.csv cargo run --release --offline -q --manifest-path ds-gauge/Cargo.toml -- --pin
 LIST
-
-echo "==> ds serve self-audit (admission, coalescing, store reconciliation)"
-"$ds" serve --check
 
 echo "==> ds serve smoke gate (service vs batch bytes, cache replay, 429, shutdown)"
 serve_cache="$smoke_dir/serve-cache"
